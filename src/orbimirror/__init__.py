@@ -6,6 +6,7 @@ reconstruction.  All arithmetic is exact rational arithmetic.
 from .combinatorics import (
     SValueSequence,
     Sector,
+    SectorData,
     Weights,
     age,
     fixed_indices,
@@ -14,6 +15,7 @@ from .combinatorics import (
     k_min,
     s_sequence,
     sector_dim,
+    sector_table,
     sectors,
     spectrum,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "Potential",
     "SValueSequence",
     "Sector",
+    "SectorData",
     "Weights",
     "a_infinity_matrix",
     "age",
@@ -73,6 +76,7 @@ __all__ = [
     "run_selftest",
     "s_sequence",
     "sector_dim",
+    "sector_table",
     "sectors",
     "spectrum",
     "unit",

@@ -22,18 +22,19 @@ sector dimension, are zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .combinatorics import (
     Sector,
     Weights,
     age,
-    fixed_indices,
     frac,
-    inverse_sector,
     sector_dim,
+    sector_table,
     sectors,
 )
 from .errors import InternalConsistencyError
@@ -136,22 +137,19 @@ def ordered_basis(w: Weights) -> tuple[BasisClass, ...]:
 
 
 @lru_cache(maxsize=None)
-def basis_index(w: Weights) -> dict[BasisClass, int]:
-    """Position of each basis class inside :func:`ordered_basis`."""
-    return {bc: i for i, bc in enumerate(ordered_basis(w))}
+def basis_index(w: Weights) -> MappingProxyType:
+    """Read-only position of each basis class inside :func:`ordered_basis`."""
+    return MappingProxyType({bc: i for i, bc in enumerate(ordered_basis(w))})
 
 
 def degree(w: Weights, c: BasisClass) -> Fraction:
     """Orbifold degree ``2 (d + age(g))`` of a basis class."""
-    return 2 * (c.d + age(w, c.gamma))
+    return 2 * (c.d + sector_table(w)[c.gamma].age)
 
 
 def integral_top(w: Weights) -> Fraction:
     """The integral of the top untwisted power: ``prod(1 / w_i)``."""
-    p = 1
-    for wi in w:
-        p *= wi
-    return Fraction(1, p)
+    return sector_table(w)[Fraction(0)].inv_weight_product
 
 
 def pairing(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
@@ -160,14 +158,12 @@ def pairing(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
     Nonzero only between mutually inverse sectors with complementary
     degrees, where it equals ``prod(1 / w_i for i in fixed_indices(g))``.
     """
-    if b.gamma != inverse_sector(a.gamma):
+    sector = sector_table(w)[a.gamma]
+    if b.gamma != sector.inverse:
         return Fraction(0)
     if degree(w, a) + degree(w, b) != 2 * w.n:
         return Fraction(0)
-    p = 1
-    for i in fixed_indices(w, a.gamma):
-        p *= w[i]
-    return Fraction(1, p)
+    return sector.inv_weight_product
 
 
 @lru_cache(maxsize=None)
@@ -206,24 +202,21 @@ def cup_basis(
     >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
     (Fraction(4, 1), BasisClass(gamma=Fraction(2, 3), d=2))
     """
-    g0, g1 = a.gamma, b.gamma
-    g = frac(g0 + g1)
-    fixed = fixed_indices(w, g)
-    d = a.d + b.d + age(w, g0) + age(w, g1) - age(w, g)
+    table = sector_table(w)
+    s0, s1 = table[a.gamma], table[b.gamma]
+    g = frac(s0.gamma + s1.gamma)
+    # g is a sector exactly when some coordinate is fixed by it.
+    s = table.get(g)
+    d = a.d + b.d + s0.age + s1.age - (age(w, g) if s is None else s.age)
     if d.denominator != 1 or d < 0:
         raise InternalConsistencyError(
             f"cup exponent {d} is not a nonnegative integer for {a} * {b}"
         )
-    if not fixed:
+    if s is None or d > s.dim:
         return Fraction(0), None
-    if d > len(fixed) - 1:
-        return Fraction(0), None
-    j = obstruction_set(w, g0, g1, inverse_sector(g))
-    k = j | (fixed - (fixed_indices(w, g0) & fixed_indices(w, g1)))
-    coeff = 1
-    for i in k:
-        coeff *= w[i]
-    return Fraction(coeff), BasisClass(g, int(d))
+    j = obstruction_set(w, s0.gamma, s1.gamma, s.inverse)
+    k = j | (s.fixed - (s0.fixed & s1.fixed))
+    return Fraction(math.prod(w[i] for i in k)), BasisClass(g, int(d))
 
 
 def cup(w: Weights, a: CohClass, b: CohClass) -> CohClass:

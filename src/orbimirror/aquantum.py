@@ -34,9 +34,8 @@ from .combinatorics import (
     Sector,
     Weights,
     age,
-    fixed_indices,
     inverse_sector,
-    sector_dim,
+    sector_table,
     sectors,
 )
 from .acohomology import (
@@ -97,13 +96,6 @@ def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Tripl
     return TripleCase(TripleKind.QUANTUM, t)
 
 
-def _inv_weight_product(w: Weights, g: Sector) -> Fraction:
-    p = 1
-    for i in fixed_indices(w, g):
-        p *= w[i]
-    return Fraction(1, p)
-
-
 def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
     """The degree-one 3-point number ``((eta_1^1, eta_g^d, eta_g2^d2))``.
 
@@ -113,9 +105,10 @@ def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
     case = classify_triple(w, g, d, g2, d2)
     if case.kind is TripleKind.VANISHING:
         return Fraction(0)
+    table = sector_table(w)
     if case.kind is TripleKind.CLASSICAL:
-        return _inv_weight_product(w, g)
-    return _inv_weight_product(w, g) * _inv_weight_product(w, g2)
+        return table[g].inv_weight_product
+    return table[g].inv_weight_product * table[g2].inv_weight_product
 
 
 def sector_constant(w: Weights, g: Sector) -> Fraction:
@@ -138,17 +131,18 @@ def hyperplane_quantum_mult(w: Weights, c: CohClass) -> CohClass:
     power it jumps to the next sector with the ``Q`` monomial described in
     the module docstring.
     """
+    table = sector_table(w)
     secs = sectors(w)
     pos = {g: i for i, g in enumerate(secs)}
     out = CohClass.zero()
     hyper = BasisClass(Fraction(0), 1)
     for bc, qexp, scalar in c.items():
-        dim = sector_dim(w, bc.gamma)
-        if bc.d < dim:
+        sector = table[bc.gamma]
+        if bc.d < sector.dim:
             coeff, target = cup_basis(w, hyper, bc)
             out.add_term(target, scalar * coeff, qexp)
             continue
-        prev = inverse_sector(bc.gamma)
+        prev = sector.inverse
         p = pos[prev]
         if p + 1 < len(secs):
             nxt = secs[p + 1]
@@ -158,7 +152,7 @@ def hyperplane_quantum_mult(w: Weights, c: CohClass) -> CohClass:
             jump = 1 - prev
         out.add_term(
             BasisClass(inverse_sector(nxt), 0),
-            scalar * _inv_weight_product(w, prev),
+            scalar * table[prev].inv_weight_product,
             qexp + jump,
         )
     return out

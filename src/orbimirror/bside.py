@@ -18,8 +18,10 @@ The rank-``mu`` quotient has basis ``[omega_0], ..., [omega_{mu-1}]`` with
 * the Euler multiplication matrix ``A0`` (weighted cyclic shift), whose
   characteristic polynomial is ``X^mu - mu^mu * prod w_i^{-w_i}``.
 
-``I(.)`` is always taken on s-values, never on source indices, so every
-output is independent of how ties inside the s-sequence are broken.
+``I(.)``, ``k_min`` and the inverse-weight products are read from
+:func:`~orbimirror.combinatorics.sector_table` at the s-values, never at
+source indices, so every output is independent of how ties inside the
+s-sequence are broken.
 """
 
 from __future__ import annotations
@@ -28,28 +30,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import Weights, fixed_indices, s_sequence, spectrum
+from .combinatorics import SectorData, Weights, s_sequence, sector_table, spectrum
 from .linalg import Matrix, char_poly, zeros
 
 
 @dataclass(frozen=True)
 class OmegaFrame:
-    """Precomputed B-side package for one weight vector.
+    """The exponent recursion of one weight vector.
 
-    ``a`` and ``i`` hold the exponent recursion up to index ``2 mu - 2``
-    (products read ``a(i + j)`` before reduction mod ``mu``), ``values`` the
-    s-sequence, ``kmin`` the first position of each value, and
-    ``omega_exponents`` the (weight-power, monomial) exponent pair of each
-    basis form.
+    ``a`` holds ``a(0), ..., a(2 mu - 2)``: products read ``a(i + j)``
+    before reduction mod ``mu``.  The s-values, the spectrum and ``k_min``
+    are not copied here; read them from ``s_sequence``, ``spectrum`` and
+    ``sector_table``.
     """
 
     weights: Weights
     a: tuple[tuple[int, ...], ...]
-    i: tuple[int, ...]
-    values: tuple[Fraction, ...]
-    sigma: tuple[Fraction, ...]
-    kmin: dict[Fraction, int]
-    omega_exponents: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=None)
@@ -70,24 +66,12 @@ def omega_frame(w: Weights) -> OmegaFrame:
         a.append(nxt)
         best = min(Fraction(nxt[j], w[j]) for j in range(len(w)))
         idx.append(next(j for j in range(len(w)) if Fraction(nxt[j], w[j]) == best))
-    values = s_sequence(w).values
-    kmin: dict[Fraction, int] = {}
-    for k, v in enumerate(values):
-        kmin.setdefault(v, k)
-    omegas = []
-    for k in range(mu):
-        ak = a[k]
-        ref = a[kmin[values[k]]]
-        omegas.append((tuple(r - x for r, x in zip(ref, ak)), ak))
-    return OmegaFrame(
-        weights=w,
-        a=tuple(a),
-        i=tuple(idx),
-        values=values,
-        sigma=spectrum(w),
-        kmin=kmin,
-        omega_exponents=tuple(omegas),
-    )
+    return OmegaFrame(weights=w, a=tuple(a))
+
+
+def _sector_at(w: Weights, k: int) -> SectorData:
+    """Sector-table record of the s-value ``s(k)``."""
+    return sector_table(w)[s_sequence(w).values[k]]
 
 
 def _weight_power(w: Weights, exponent: tuple[int, ...]) -> Fraction:
@@ -108,36 +92,26 @@ def product(w: Weights, i: int, j: int) -> tuple[Fraction, int]:
     >>> product(Weights(1, 2), 1, 1)
     (Fraction(1, 2), 2)
     """
-    frame = omega_frame(w)
-    mu = w.mu
-    tgt = (i + j) % mu
-    km = frame.kmin
-    vals = frame.values
+    a = omega_frame(w).a
+    tgt = (i + j) % w.mu
     exponent = tuple(
         km_i + km_j - km_t + at - aij
         for km_i, km_j, km_t, at, aij in zip(
-            frame.a[km[vals[i]]],
-            frame.a[km[vals[j]]],
-            frame.a[km[vals[tgt]]],
-            frame.a[tgt],
-            frame.a[i + j],
+            a[_sector_at(w, i).k_min],
+            a[_sector_at(w, j).k_min],
+            a[_sector_at(w, tgt).k_min],
+            a[tgt],
+            a[i + j],
         )
     )
     return _weight_power(w, exponent), tgt
-
-
-def _inv_weight_product_value(w: Weights, value: Fraction) -> Fraction:
-    p = 1
-    for i in fixed_indices(w, value):
-        p *= w[i]
-    return Fraction(1, p)
 
 
 def metric(w: Weights, j: int, k: int) -> Fraction:
     """Residue pairing ``g(e_j, e_k)``; nonzero exactly on ``j + k = n mod mu``."""
     if (j + k) % w.mu != w.n % w.mu:
         return Fraction(0)
-    return _inv_weight_product_value(w, omega_frame(w).values[k])
+    return _sector_at(w, k).inv_weight_product
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +130,10 @@ def three_tensor(w: Weights, j: int, k: int) -> Fraction:
     mu = w.mu
     if (1 + j + k) % mu != w.n % mu:
         return Fraction(0)
-    frame = omega_frame(w)
-    sig = frame.sigma
+    sig = spectrum(w)
     if sig[1] + sig[j] + sig[k] == w.n:
-        return _inv_weight_product_value(w, frame.values[j])
-    return _inv_weight_product_value(w, frame.values[j]) * _inv_weight_product_value(
-        w, frame.values[k]
-    )
+        return _sector_at(w, j).inv_weight_product
+    return _sector_at(w, j).inv_weight_product * _sector_at(w, k).inv_weight_product
 
 
 def a0_matrix(w: Weights) -> Matrix:
@@ -172,14 +143,14 @@ def a0_matrix(w: Weights) -> Matrix:
     and ``mu * prod(1/w_i, i in I(s(j)))`` across a block boundary.
     """
     mu = w.mu
-    vals = omega_frame(w).values
+    vals = s_sequence(w).values
     m = zeros(mu)
     for j in range(mu):
         row = (j + 1) % mu
         if vals[row] == vals[j]:
             m[row][j] = Fraction(mu)
         else:
-            m[row][j] = mu * _inv_weight_product_value(w, vals[j])
+            m[row][j] = mu * _sector_at(w, j).inv_weight_product
     return m
 
 

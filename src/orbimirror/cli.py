@@ -106,7 +106,10 @@ def parse_args(argv: list[str]) -> RunConfig:
                 f"--max-length {cfg.max_length} exceeds the cap "
                 f"{DEFAULT_MAX_LENGTH_CAP}; pass --unsafe-large to override"
             )
-    mu_cap = int(os.environ.get("ORBIMIRROR_MAX_MU", DEFAULT_MU_CAP))
+    try:
+        mu_cap = int(os.environ.get("ORBIMIRROR_MAX_MU", DEFAULT_MU_CAP))
+    except ValueError:
+        raise UsageError("ORBIMIRROR_MAX_MU must be an integer") from None
     if weights.mu > mu_cap and not cfg.unsafe_large:
         raise UsageError(
             f"mu={weights.mu} exceeds the cap {mu_cap} "
@@ -283,8 +286,12 @@ def run(cfg: RunConfig) -> int:
     else:
         text = "".join("\t".join(row) + "\n" for row in rows)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -12,7 +12,11 @@ holds the combinatorial layer both sides are built on:
   ``l / w_i`` with ``0 <= l < w_i`` (``mu`` values in total),
 * the rational *spectrum* ``sigma(k) = k - mu * s(k)``,
 * ``k_min``: the first position of a sector's value inside the s-sequence,
-  computed in closed form.
+  computed in closed form,
+* the *sector table*: one read-only record per sector holding its inverse,
+  fixed set, age, dimension, inverse-weight product and ``k_min``, built
+  once from the formulas above.  Every other module reads per-sector data
+  from this table.
 
 All functions are pure and exact (``fractions.Fraction`` arithmetic), and
 results for a given weight vector are cached.
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 #: A sector is represented by its rotation number: a reduced rational in [0, 1).
 Sector = Fraction
@@ -188,3 +193,39 @@ def k_min(w: Weights, g: Sector) -> int:
     """
     codim = w.n + 1 - len(fixed_indices(w, g))
     return codim + sum(math.floor(g * wi) for wi in w)
+
+
+@dataclass(frozen=True)
+class SectorData:
+    """Per-sector data shared by the A side, the B side and the mirror map."""
+
+    gamma: Sector
+    inverse: Sector
+    fixed: frozenset[int]
+    age: Fraction
+    dim: int
+    inv_weight_product: Fraction
+    k_min: int
+
+
+@lru_cache(maxsize=None)
+def sector_table(w: Weights) -> MappingProxyType:
+    """Read-only map from each sector (in :func:`sectors` order) to its
+    :class:`SectorData`; ``inv_weight_product`` is ``prod(1 / w_i, i in I(g))``.
+
+    >>> sector_table(Weights(1, 2))[Fraction(1, 2)].inv_weight_product
+    Fraction(1, 2)
+    """
+    table = {}
+    for g in sectors(w):
+        fixed = fixed_indices(w, g)
+        table[g] = SectorData(
+            gamma=g,
+            inverse=inverse_sector(g),
+            fixed=fixed,
+            age=age(w, g),
+            dim=len(fixed) - 1,
+            inv_weight_product=Fraction(1, math.prod(w[i] for i in fixed)),
+            k_min=k_min(w, g),
+        )
+    return MappingProxyType(table)

@@ -24,12 +24,13 @@ from fractions import Fraction
 from . import aquantum, bside
 from .acohomology import (
     BasisClass,
+    basis_index,
     cup_basis,
     degree,
     gram_matrix,
     ordered_basis,
 )
-from .combinatorics import Weights, inverse_sector, k_min, spectrum
+from .combinatorics import Weights, sector_table, spectrum
 from .errors import InternalConsistencyError
 from .linalg import matmul, permutation_matrix, transpose
 
@@ -75,10 +76,11 @@ def mirror_index_map(w: Weights) -> MirrorIndexMap:
     >>> [m.forward[bc] for bc in ordered_basis(Weights(1, 3))]
     [0, 1, 3, 2]
     """
+    table = sector_table(w)
     forward = {}
     inverse = {}
     for bc in ordered_basis(w):
-        idx = k_min(w, inverse_sector(bc.gamma)) + bc.d
+        idx = table[table[bc.gamma].inverse].k_min + bc.d
         if idx in inverse:
             raise InternalConsistencyError(
                 f"index map collision: {bc} and {inverse[idx]} both map to {idx}"
@@ -108,7 +110,7 @@ def check_classical(w: Weights) -> CheckReport:
         )
 
     gram = gram_matrix(w)
-    index = {bc: i for i, bc in enumerate(basis)}
+    index = basis_index(w)
     for a in basis:
         for b in basis:
             ia, ib = xi.forward[a], xi.forward[b]

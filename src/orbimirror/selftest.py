@@ -16,6 +16,8 @@ from . import aquantum, bside
 from .acohomology import (
     BasisClass,
     CohClass,
+    a_infinity_matrix,
+    basis_index,
     cup,
     cup_basis,
     degree,
@@ -51,11 +53,8 @@ def _check_basis_count(w: Weights, report: CheckReport) -> None:
 
 def _check_grading_adjoint(w: Weights, report: CheckReport) -> None:
     # A side: A + G^-1 A^T G == n * Id for A = diag(deg / 2).
-    basis = ordered_basis(w)
     mu = w.mu
-    a_inf = [[Fraction(0)] * mu for _ in range(mu)]
-    for i, bc in enumerate(basis):
-        a_inf[i][i] = degree(w, bc) / 2
+    a_inf = a_infinity_matrix(w)
     gram = [list(row) for row in gram_matrix(w)]
     ginv = mat_inverse(gram)
     adjoint = matmul(ginv, matmul(transpose(a_inf), gram))
@@ -106,7 +105,7 @@ def _check_cup_ring(w: Weights, report: CheckReport) -> None:
                     check="cup_degree_additive",
                     pair=((str(a.gamma), a.d), (str(b.gamma), b.d)),
                 )
-    index = {bc: i for i, bc in enumerate(basis)}
+    index = basis_index(w)
     gram = gram_matrix(w)
     for a in basis:
         ca = CohClass.line(a)

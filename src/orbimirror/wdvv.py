@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from types import MappingProxyType
 
 from . import bside
 from .combinatorics import Weights, spectrum
@@ -45,9 +46,9 @@ MultiIndex = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def initial_coeffs(w: Weights) -> dict[tuple[int, int, int], Fraction]:
-    """Nonzero cubic coefficients ``A(e_i+e_j+e_k) = g(e_i * e_j, e_k)``,
-    keyed by sorted index triples.
+def initial_coeffs(w: Weights) -> MappingProxyType:
+    """Read-only nonzero cubic coefficients ``A(e_i+e_j+e_k) = g(e_i * e_j,
+    e_k)``, keyed by sorted index triples.
 
     Nonzero exactly when ``i + j + k = n mod mu``.
     """
@@ -60,7 +61,7 @@ def initial_coeffs(w: Weights) -> dict[tuple[int, int, int], Fraction]:
                 value = coeff * bside.metric(w, tgt, k)
                 if value:
                     out[(i, j, k)] = value
-    return out
+    return MappingProxyType(out)
 
 
 def scaling_weight(w: Weights, alpha: MultiIndex) -> Fraction:
@@ -105,6 +106,15 @@ def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]
     return dual, ginv
 
 
+def _bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
+    """``base + e_x + e_y + e_z``."""
+    out = list(base)
+    out[x] += 1
+    out[y] += 1
+    out[z] += 1
+    return tuple(out)
+
+
 def _sub_indices(alpha: MultiIndex):
     """All ``beta <= alpha`` componentwise with the product of binomials."""
     ranges = [range(x + 1) for x in alpha]
@@ -126,23 +136,16 @@ class _Reconstructor:
             raise ValueError("max_length must be at least 3")
         self.w = w
         self.mu = w.mu
-        self.n = w.n
         self.max_length = max_length
-        self.sigma = spectrum(w)
         self.dual, self.ginv = _metric_diagonal(w)
-        self.init3 = initial_coeffs(w)
+        # A private dict: its .get is the hot path of every coefficient.
+        self.init3 = dict(initial_coeffs(w))
         self.memo: dict[MultiIndex, Fraction] = {}
 
     # -- basic rules ------------------------------------------------------
 
     def _cubic(self, i: int, j: int, k: int) -> Fraction:
         return self.init3.get(tuple(sorted((i, j, k))), Fraction(0))
-
-    def _scaling(self, alpha: MultiIndex) -> Fraction:
-        return 3 - self.n + sum(
-            (alpha[k] * (self.sigma[k] - 1) for k in range(self.mu) if alpha[k]),
-            Fraction(0),
-        )
 
     def coeff(self, key: MultiIndex) -> Fraction:
         got = self.memo.get(key)
@@ -158,7 +161,7 @@ class _Reconstructor:
             value = Fraction(0)
         elif key[1] >= 1:
             prev = (key[0], key[1] - 1) + key[2:]
-            value = self.coeff(prev) * self._scaling(prev) / self.mu
+            value = self.coeff(prev) * scaling_weight(self.w, prev) / self.mu
         else:
             value = self._chain(key)
         self.memo[key] = value
@@ -211,14 +214,6 @@ class _Reconstructor:
         dual = self.dual
         ginv = self.ginv
         total = Fraction(0)
-
-        def bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
-            out = list(base)
-            out[x] += 1
-            out[y] += 1
-            out[z] += 1
-            return tuple(out)
-
         alpha_len = sum(alpha)
 
         # RHS, beta = alpha term: carries next_value.
@@ -229,12 +224,12 @@ class _Reconstructor:
         a = dual[(j + k) % mu]
         c0 = self._cubic(j, k, a)
         if c0:
-            total += ginv[a] * c0 * self.coeff(bump(alpha, dual[a], 1, l))
+            total += ginv[a] * c0 * self.coeff(_bump(alpha, dual[a], 1, l))
         # LHS, beta = alpha term (moved to the right with a minus sign).
         a = (k + l) % mu
         c0 = self._cubic(dual[a], k, l)
         if c0:
-            total -= ginv[a] * c0 * self.coeff(bump(alpha, 1, j, a))
+            total -= ginv[a] * c0 * self.coeff(_bump(alpha, 1, j, a))
         # Interior terms of both sides.
         for beta, binom in _sub_indices(alpha):
             blen = sum(beta)
@@ -243,12 +238,12 @@ class _Reconstructor:
             gamma = tuple(x - y for x, y in zip(alpha, beta))
             for a in range(mu):
                 g = ginv[a]
-                f1 = self.coeff(bump(beta, 1, j, a))
+                f1 = self.coeff(_bump(beta, 1, j, a))
                 if f1:
-                    total -= binom * g * f1 * self.coeff(bump(gamma, dual[a], k, l))
-                h1 = self.coeff(bump(beta, j, k, a))
+                    total -= binom * g * f1 * self.coeff(_bump(gamma, dual[a], k, l))
+                h1 = self.coeff(_bump(beta, j, k, a))
                 if h1:
-                    total += binom * g * h1 * self.coeff(bump(gamma, dual[a], 1, l))
+                    total += binom * g * h1 * self.coeff(_bump(gamma, dual[a], 1, l))
         # Divide by the coefficient of the unknown (LHS beta = 0 term).
         a1 = dual[(1 + j) % mu]
         pivot = ginv[a1] * self._cubic(1, j, a1)
@@ -291,13 +286,12 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
             value = rec.coeff(key)
             if value:
                 coeffs[key] = value
-    dual, ginv = _metric_diagonal(w)
     return Potential(
         weights=w,
         max_length=max_length,
         coeffs=coeffs,
-        _dual=dual,
-        _ginv=ginv,
+        _dual=rec.dual,
+        _ginv=rec.ginv,
     )
 
 
@@ -329,25 +323,17 @@ def wdvv_residual(
     get = p.coeffs.get
     zero = Fraction(0)
     total = zero
-
-    def bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
-        out = list(base)
-        out[x] += 1
-        out[y] += 1
-        out[z] += 1
-        return tuple(out)
-
     for beta, binom in _sub_indices(alpha):
         gamma = tuple(x - y for x, y in zip(alpha, beta))
         for a in range(mu):
-            f1 = get(bump(beta, i, j, a), zero)
+            f1 = get(_bump(beta, i, j, a), zero)
             if f1:
-                f2 = get(bump(gamma, dual[a], k, l), zero)
+                f2 = get(_bump(gamma, dual[a], k, l), zero)
                 if f2:
                     total += binom * ginv[a] * f1 * f2
-            h1 = get(bump(beta, j, k, a), zero)
+            h1 = get(_bump(beta, j, k, a), zero)
             if h1:
-                h2 = get(bump(gamma, dual[a], i, l), zero)
+                h2 = get(_bump(gamma, dual[a], i, l), zero)
                 if h2:
                     total -= binom * ginv[a] * h1 * h2
     return total

@@ -20,6 +20,7 @@ from orbimirror import (
     pairing,
     unit,
 )
+from orbimirror.acohomology import basis_index
 from orbimirror.linalg import det
 
 
@@ -42,6 +43,16 @@ def test_ordered_basis_examples():
         F(1, 2): [0, 1],
         F(2, 3): [0, 1, 2],
     }
+
+
+def test_basis_index_is_read_only():
+    w = Weights(1, 2)
+    before = dict(basis_index(w))
+    with pytest.raises(TypeError):
+        basis_index(w)[bc(0, 0)] = 5
+    with pytest.raises(TypeError):
+        del basis_index(w)[bc(0, 0)]
+    assert dict(basis_index(w)) == before == {bc(0, 0): 0, bc(0, 1): 1, bc((1, 2), 0): 2}
 
 
 def test_degree_examples():

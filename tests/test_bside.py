@@ -26,14 +26,10 @@ from orbimirror.linalg import (
 def test_omega_frame_example():
     frame = omega_frame(Weights(1, 2))
     assert frame.a == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
-    assert frame.i == (0, 1, 1, 0, 1)
-    # omega_2 carries monomial exponent (1,1) and weight-power exponent 0
-    assert frame.omega_exponents[2] == ((0, 0), (1, 1))
 
 
 def test_omega_frame_unit_weights_cycles():
     frame = omega_frame(Weights(1, 1, 1))
-    assert frame.i[:4] == (0, 1, 2, 0)
     assert frame.a[3] == (1, 1, 1)
     assert frame.a[4] == (2, 1, 1)
 

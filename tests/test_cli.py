@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+import orbimirror
+
 CLI = [sys.executable, "-m", "orbimirror.cli"]
+# The child interpreter imports the same package as this one.
+PACKAGE_ROOT = str(pathlib.Path(orbimirror.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env=None):
-    import os
-
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (PACKAGE_ROOT, full_env.get("PYTHONPATH")))
+    )
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -132,6 +139,17 @@ def test_mu_cap_and_env_override():
         run_cli("basis", "--weights", "1,2", env={"ORBIMIRROR_MAX_MU": "2"}).returncode
         == 2
     )
+    res = run_cli("basis", "--weights", "1,2", env={"ORBIMIRROR_MAX_MU": "abc"})
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and "ORBIMIRROR_MAX_MU" in res.stderr
+
+
+def test_unwritable_output_exit_2(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    res = run_cli("basis", "--weights", "1,2", "--output", str(target))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and str(target) in res.stderr
+    assert res.stdout == ""
 
 
 def test_selftest_pass():

@@ -14,9 +14,11 @@ from orbimirror import (
     k_min,
     s_sequence,
     sector_dim,
+    sector_table,
     sectors,
     spectrum,
 )
+from orbimirror.combinatorics import frac
 
 
 def test_weights_validation():
@@ -101,6 +103,39 @@ def test_k_min_examples():
     assert k_min(Weights(1, 2), F(0)) == 0
     assert k_min(Weights(1, 2), F(1, 2)) == 2
     assert k_min(Weights(1, 2, 2, 3, 3, 3), F(2, 3)) == 11
+
+
+def test_sector_table_fields_match_definitions():
+    for wt in SMALL_FAMILY:
+        w = Weights(wt)
+        table = sector_table(w)
+        assert tuple(table) == sectors(w), wt
+        values = s_sequence(w).values
+        for g, s in table.items():
+            fixed = {i for i, wi in enumerate(wt) if (g * wi).denominator == 1}
+            weight_product = 1
+            for i in fixed:
+                weight_product *= wt[i]
+            assert s.gamma == g
+            assert s.inverse == inverse_sector(g)
+            assert s.fixed == fixed
+            assert s.age == sum((frac(g * wi) for wi in wt), F(0))
+            assert s.dim == len(fixed) - 1
+            assert s.inv_weight_product == F(1, weight_product)
+            assert s.k_min == values.index(g), (wt, g)
+
+
+def test_sector_table_is_read_only():
+    w = Weights(1, 2, 2, 3, 3, 3)
+    before = dict(sector_table(w))
+    with pytest.raises(TypeError):
+        sector_table(w)[F(1, 5)] = before[F(0)]
+    with pytest.raises(TypeError):
+        del sector_table(w)[F(0)]
+    with pytest.raises(AttributeError):
+        sector_table(w)[F(0)].age = F(1)
+    assert dict(sector_table(w)) == before
+    assert sector_table(w)[F(0)].age == 0
 
 
 # Larger vectors pushing the total weight to the mu <= 40 regime.

@@ -1,0 +1,76 @@
+"""Byte-for-byte regression of the CLI artifacts over the fixed suite.
+
+``golden_cli.json`` maps ``"<command> <weights> <format>"`` to the sha256 of
+the command's stdout.  ``selftest`` and ``reconstruct --max-length 6`` run
+only for mu <= 10, and ``mirror`` only for vectors with at least two
+weights.  Re-record (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from conftest import SUITE
+from orbimirror import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+FORMATS = ("json", "tsv")
+
+
+def _cases(command: str):
+    for wt in SUITE:
+        if command in ("selftest", "reconstruct") and sum(wt) > 10:
+            continue
+        if command == "mirror" and len(wt) < 2:
+            continue
+        yield wt
+
+
+def _stdout_sha(command: str, wt: tuple[int, ...], fmt: str) -> str:
+    argv = [command, "--weights", ",".join(map(str, wt)), "--format", fmt]
+    if command == "reconstruct":
+        argv += ["--max-length", "6"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _key(command: str, wt: tuple[int, ...], fmt: str) -> str:
+    return f"{command} {','.join(map(str, wt))} {fmt}"
+
+
+def _record() -> dict[str, str]:
+    return {
+        _key(c, wt, fmt): _stdout_sha(c, wt, fmt)
+        for c in cli.COMMANDS
+        for fmt in FORMATS
+        for wt in _cases(c)
+    }
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_stdout_matches_golden(command, fmt):
+    golden = json.loads(GOLDEN.read_text())
+    cases = list(_cases(command))
+    assert cases
+    for wt in cases:
+        assert _stdout_sha(command, wt, fmt) == golden[_key(command, wt, fmt)], (
+            command,
+            wt,
+            fmt,
+        )
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n")

@@ -38,6 +38,17 @@ def test_initial_coeffs_examples():
                 assert got == metric(w, j, k), (wt, j, k)
 
 
+def test_initial_coeffs_is_read_only():
+    w = Weights(1, 2)
+    before = dict(initial_coeffs(w))
+    with pytest.raises(TypeError):
+        initial_coeffs(w)[(0, 0, 0)] = F(7)
+    with pytest.raises(TypeError):
+        del initial_coeffs(w)[(1, 1, 2)]
+    assert dict(initial_coeffs(w)) == before
+    assert (0, 0, 0) not in initial_coeffs(w)
+
+
 def test_initial_coeffs_keys_satisfy_congruence(suite_weights):
     w = suite_weights
     for (i, j, k), value in initial_coeffs(w).items():

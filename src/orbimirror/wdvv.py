@@ -26,6 +26,25 @@ The decomposition rule used here (peel the smallest support index first)
 guarantees the two unknowns of every chain equation are distinct
 multi-indices, so no step degenerates.
 
+Selection rule.  ``A(alpha) = 0`` unless ``alpha`` passes both of
+
+* the charge rule ``sum_k k alpha_k = n + |alpha| - 3 (mod mu)``: the B-side
+  product is Z/mu-graded (``bside.product(i, j)`` lands on ``(i + j) mod
+  mu`` and the metric pairs ``k`` with ``(n - k) mod mu``), so the cubic data
+  lives on ``i + j + k = n (mod mu)``, and the unit, scaling and WDVV rules
+  keep ``F`` homogeneous of degree ``n - 3`` for the Z/mu grading in which
+  ``t_k`` has degree ``k - 1``;
+* the degree rule ``d(alpha) >= 0``: by Euler homogeneity (the scaling
+  identity; Dubrovin, hep-th/9407018) ``d(alpha) / mu`` is the degree in the
+  quantum parameter that ``t^alpha`` carries, and ``F`` has no negative
+  powers of it.
+
+The solver never computes a coefficient the rule forces to zero: ``coeff``
+returns the zero at once, a chain stops at such a state, and of each
+interior sum over ``a`` in an equation it keeps the one charge-compatible
+term.  ``wdvv_residual`` does not use the rule, so a residual sweep stays an
+independent check of the solver, and of the rule itself.
+
 All arithmetic is exact; no floating point appears anywhere.
 """
 
@@ -86,6 +105,7 @@ class Potential:
     _ginv: tuple[Fraction, ...] = field(repr=False, default=())
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
+        alpha = _multi_index(alpha, self.weights.mu)
         total = sum(alpha)
         if total < 3:
             raise ValueError("coefficients of length < 3 are not part of the data")
@@ -93,10 +113,18 @@ class Potential:
             raise ValueError(
                 f"length {total} exceeds reconstruction depth {self.max_length}"
             )
-        return self.coeffs.get(tuple(alpha), Fraction(0))
+        return self.coeffs.get(alpha, Fraction(0))
 
     def nonzero_items(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+def _multi_index(alpha, mu: int) -> MultiIndex:
+    """``alpha`` as a tuple, or ``ValueError`` unless it lies in N^mu."""
+    alpha = tuple(alpha)
+    if len(alpha) != mu or min(alpha) < 0:
+        raise ValueError(f"multi-index {alpha} is not in N^{mu}")
+    return alpha
 
 
 def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
@@ -113,6 +141,11 @@ def _bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
     out[y] += 1
     out[z] += 1
     return tuple(out)
+
+
+def _charge(alpha: MultiIndex) -> int:
+    """``sum_k k alpha_k``, the charge of ``alpha`` in the selection rule."""
+    return sum(k * x for k, x in enumerate(alpha) if x)
 
 
 def _sub_indices(alpha: MultiIndex):
@@ -147,10 +180,20 @@ class _Reconstructor:
     def _cubic(self, i: int, j: int, k: int) -> Fraction:
         return self.init3.get(tuple(sorted((i, j, k))), Fraction(0))
 
+    def admissible(self, alpha: MultiIndex) -> bool:
+        """The selection rule: ``A(alpha)`` can be nonzero only if ``alpha``
+        passes the charge rule and ``d(alpha) >= 0``."""
+        if _charge(alpha) % self.mu != (self.w.n + sum(alpha) - 3) % self.mu:
+            return False
+        return scaling_weight(self.w, alpha) >= 0
+
     def coeff(self, key: MultiIndex) -> Fraction:
+        # The memo holds admissible keys only, so a hit needs no rule check.
         got = self.memo.get(key)
         if got is not None:
             return got
+        if not self.admissible(key):
+            return Fraction(0)
         total = sum(key)
         if total == 3:
             triple = []
@@ -189,11 +232,17 @@ class _Reconstructor:
             out[(l0 + t) % mu] += 1
             return tuple(out)
 
-        # Walk forward until a directly-known state.
+        # Walk forward until a directly-known state.  Every state has the
+        # charge of ``key``; one that fails the degree rule is a known zero.
         t_stop = 1
         while True:
             kt = state_key(t_stop)
-            if kt in self.memo or (m - t_stop) <= 1 or (l0 + t_stop) % mu <= 1:
+            if (
+                kt in self.memo
+                or (m - t_stop) <= 1
+                or (l0 + t_stop) % mu <= 1
+                or not self.admissible(kt)
+            ):
                 break
             t_stop += 1
         value = self.coeff(state_key(t_stop))
@@ -211,6 +260,7 @@ class _Reconstructor:
         other top-length unknown, already determined.
         """
         mu = self.mu
+        n = self.w.n
         dual = self.dual
         ginv = self.ginv
         total = Fraction(0)
@@ -230,20 +280,22 @@ class _Reconstructor:
         c0 = self._cubic(dual[a], k, l)
         if c0:
             total -= ginv[a] * c0 * self.coeff(_bump(alpha, 1, j, a))
-        # Interior terms of both sides.
+        # Interior terms of both sides.  Of each sum over ``a`` only the one
+        # ``a`` that gives the first factor the right charge can be nonzero.
         for beta, binom in _sub_indices(alpha):
             blen = sum(beta)
             if blen == 0 or blen == alpha_len:
                 continue
             gamma = tuple(x - y for x, y in zip(alpha, beta))
-            for a in range(mu):
-                g = ginv[a]
-                f1 = self.coeff(_bump(beta, 1, j, a))
-                if f1:
-                    total -= binom * g * f1 * self.coeff(_bump(gamma, dual[a], k, l))
-                h1 = self.coeff(_bump(beta, j, k, a))
-                if h1:
-                    total += binom * g * h1 * self.coeff(_bump(gamma, dual[a], 1, l))
+            shift = n + blen - _charge(beta) - j
+            a = (shift - 1) % mu
+            f1 = self.coeff(_bump(beta, 1, j, a))
+            if f1:
+                total -= binom * ginv[a] * f1 * self.coeff(_bump(gamma, dual[a], k, l))
+            a = (shift - k) % mu
+            h1 = self.coeff(_bump(beta, j, k, a))
+            if h1:
+                total += binom * ginv[a] * h1 * self.coeff(_bump(gamma, dual[a], 1, l))
         # Divide by the coefficient of the unknown (LHS beta = 0 term).
         a1 = dual[(1 + j) % mu]
         pivot = ginv[a1] * self._cubic(1, j, a1)
@@ -283,6 +335,8 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
         # Multi-indices with a unit slot are zero and never stored.
         for tail in _compositions(length, mu - 1):
             key = (0,) + tail
+            if not rec.admissible(key):
+                continue
             value = rec.coeff(key)
             if value:
                 coeffs[key] = value
@@ -309,15 +363,23 @@ def wdvv_residual(
     """Coefficient of ``t^alpha / alpha!`` in the associativity equation
     ``(i, j, k, l)``; exactly zero on a consistent potential.
 
-    Raises ``ValueError`` if the potential is too shallow to evaluate it.
+    Every sum over ``a`` runs over all of ``range(mu)``, where the solver
+    keeps only the charge-compatible term: this check does not use the
+    selection rule, so a sweep can still catch a wrong coefficient on either
+    side of it.
+
+    Raises ``ValueError`` if an index is outside ``[0, mu)``, if ``alpha``
+    is not in N^mu, or if the potential is too shallow to evaluate it.
     """
-    alpha = tuple(alpha)
+    mu = p.weights.mu
+    alpha = _multi_index(alpha, mu)
+    if not all(0 <= x < mu for x in (i, j, k, l)):
+        raise ValueError(f"equation ({i},{j},{k},{l}) has an index outside [0, {mu})")
     if sum(alpha) + 3 > p.max_length:
         raise ValueError(
             f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
             f"potential has {p.max_length}"
         )
-    mu = p.weights.mu
     dual = p._dual
     ginv = p._ginv
     get = p.coeffs.get

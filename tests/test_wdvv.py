@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from _oracles import kontsevich_numbers
+from conftest import SUITE
 from orbimirror import (
     Weights,
     homogeneity_step,
@@ -17,7 +18,45 @@ from orbimirror import (
 )
 from orbimirror.aquantum import three_point
 from orbimirror.bside import metric
-from orbimirror.wdvv import scaling_weight
+from orbimirror.combinatorics import spectrum
+from orbimirror.wdvv import _Reconstructor, scaling_weight
+
+
+def _passes_selection_rule(w, alpha):
+    """The charge and degree rules, stated from the spectrum alone."""
+    sigma = spectrum(w)
+    charge = sum(k * x for k, x in enumerate(alpha))
+    degree = 3 - w.n + sum(x * (sigma[k] - 1) for k, x in enumerate(alpha))
+    return charge % w.mu == (w.n + sum(alpha) - 3) % w.mu and degree >= 0
+
+
+def _nonzero_residuals(p, max_alpha):
+    """Every ``(i, j, k, l, alpha)`` with ``|alpha| <= max_alpha`` whose
+    residual is not zero."""
+    mu = p.weights.mu
+    return [
+        (eq, alpha)
+        for total in range(max_alpha + 1)
+        for alpha in itertools.product(range(total + 1), repeat=mu)
+        if sum(alpha) == total
+        for eq in itertools.product(range(mu), repeat=4)
+        if wdvv_residual(p, *eq, alpha) != 0
+    ]
+
+
+def _assert_unit_axiom(p):
+    for alpha in p.coeffs:
+        if alpha[0] >= 1:
+            assert sum(alpha) == 3, (p.weights, alpha)
+
+
+def _assert_homogeneity(p):
+    w = p.weights
+    for alpha, value in p.nonzero_items():
+        if sum(alpha) >= p.max_length:
+            continue
+        lifted = (alpha[0], alpha[1] + 1) + alpha[2:]
+        assert w.mu * p.coeff(lifted) == value * scaling_weight(w, alpha), alpha
 
 
 def test_kontsevich_oracle_values():
@@ -125,23 +164,41 @@ def test_p2_potential_matches_curve_counts():
 def test_unit_axiom(suite_weights):
     if suite_weights.mu > 5:
         pytest.skip("reconstruction suite is restricted to small ranks")
-    p = reconstruct(suite_weights, 6)
-    for alpha, value in p.nonzero_items():
-        if alpha[0] >= 1:
-            assert sum(alpha) == 3, (suite_weights, alpha)
+    _assert_unit_axiom(reconstruct(suite_weights, 6))
 
 
 def test_homogeneity_invariant_on_reconstruction(suite_weights):
     if suite_weights.mu > 5:
         pytest.skip("reconstruction suite is restricted to small ranks")
+    _assert_homogeneity(reconstruct(suite_weights, 6))
+
+
+@pytest.mark.parametrize(
+    "wt", [wt for wt in SUITE if sum(wt) <= 10], ids=lambda t: "w" + "_".join(map(str, t))
+)
+def test_nonzero_coefficients_pass_selection_rule(wt):
+    w = Weights(wt)
+    for alpha, value in reconstruct(w, 6).nonzero_items():
+        assert _passes_selection_rule(w, alpha), (w, alpha, value)
+
+
+def test_selection_rule_on_cubic_data(suite_weights):
+    # At |alpha| = 3 the charge rule is the congruence i + j + k = n (mod mu)
+    # of the cubic data, and the degree rule reads sigma_i + sigma_j +
+    # sigma_k >= n.
     w = suite_weights
-    p = reconstruct(w, 6)
-    mu = w.mu
-    for alpha, value in p.nonzero_items():
-        if sum(alpha) >= p.max_length:
-            continue
-        lifted = (alpha[0], alpha[1] + 1) + alpha[2:]
-        assert mu * p.coeff(lifted) == value * scaling_weight(w, alpha), alpha
+    rec = _Reconstructor(w, 3)
+    sigma = spectrum(w)
+    table = initial_coeffs(w)
+    for i, j, k in itertools.combinations_with_replacement(range(w.mu), 3):
+        alpha = [0] * w.mu
+        for idx in (i, j, k):
+            alpha[idx] += 1
+        congruent = (i + j + k) % w.mu == w.n % w.mu
+        degree_ok = sigma[i] + sigma[j] + sigma[k] >= w.n
+        assert rec.admissible(tuple(alpha)) == (congruent and degree_ok), (i, j, k)
+        if (i, j, k) in table:
+            assert congruent and degree_ok, (w, i, j, k)
 
 
 def test_residual_examples():
@@ -157,21 +214,67 @@ def test_residual_depth_guard():
         wdvv_residual(p, 0, 0, 0, 0, (0, 3))
 
 
+@pytest.mark.parametrize(
+    "eq, alpha",
+    [
+        ((0, 0, 0, 0), (0, 1)),
+        ((0, 0, 0, 0), (0, 0, 0, 1)),
+        ((0, 0, 0, 0), (-1, 1, 1)),
+        ((3, 0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0, -1), (0, 0, 0)),
+    ],
+    ids=["alpha-short", "alpha-long", "alpha-negative", "index-mu", "index-minus-1"],
+)
+def test_residual_rejects_malformed_input(eq, alpha):
+    p = reconstruct(Weights(1, 1, 1), 5)
+    with pytest.raises(ValueError):
+        wdvv_residual(p, *eq, alpha)
+
+
 def test_residuals_vanish_small_sweep(suite_weights):
     if suite_weights.mu > 4:
         pytest.skip("full sweep runs in the acceptance suite")
     w = suite_weights
-    p = reconstruct(w, 6)
-    mu = w.mu
-    alphas = [
-        alpha
-        for total in range(0, 4)
-        for alpha in itertools.product(range(total + 1), repeat=mu)
-        if sum(alpha) == total
-    ]
-    for alpha in alphas:
-        for eq in itertools.product(range(mu), repeat=4):
-            assert wdvv_residual(p, *eq, alpha) == 0, (w, eq, alpha)
+    assert not _nonzero_residuals(reconstruct(w, 6), 3), w
+
+
+@pytest.mark.parametrize(
+    "wt",
+    [(2, 4), (3, 3), (1, 2, 3), (4, 6), (2, 3, 5), (1, 2, 3, 4)],
+    ids=lambda t: "w" + "_".join(map(str, t)),
+)
+def test_residuals_vanish_to_mu_10(wt):
+    # Every (i, j, k, l) in [0, mu)^4 at |alpha| <= 1: 357,216 residuals over
+    # the suite members with 5 < mu <= 10.
+    assert not _nonzero_residuals(reconstruct(Weights(wt), 4), 1), wt
+
+
+def test_random_weight_vectors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def weight_vectors(draw):
+        # A composition of mu, one weight at a time.
+        mu = draw(st.integers(2, 6))
+        ws = []
+        while sum(ws) < mu:
+            ws.append(draw(st.integers(1, mu - sum(ws))))
+        return Weights(ws)
+
+    @hypothesis.settings(
+        max_examples=25, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(weight_vectors())
+    def check(w):
+        p = reconstruct(w, 5)
+        assert not _nonzero_residuals(p, 1), w
+        for alpha, value in p.nonzero_items():
+            assert _passes_selection_rule(w, alpha), (w, alpha, value)
+        _assert_unit_axiom(p)
+        _assert_homogeneity(p)
+
+    check()
 
 
 def test_reconstruct_input_validation():
@@ -187,3 +290,14 @@ def test_coeff_range_guards():
         p.coeff((1, 1))
     with pytest.raises(ValueError):
         p.coeff((0, 6))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [(0, 3), (0, 0, 3, 0), (-1, 2, 2)],
+    ids=["short", "long", "negative"],
+)
+def test_coeff_rejects_malformed_multi_index(alpha):
+    p = reconstruct(Weights(1, 1, 1), 5)
+    with pytest.raises(ValueError):
+        p.coeff(alpha)

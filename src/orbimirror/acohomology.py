@@ -61,7 +61,7 @@ class CohClass:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: {BasisClass: {qexp: scalar}}
+        # terms: {(BasisClass, qexp): scalar}
         self.terms = {} if terms is None else terms
 
     @classmethod
@@ -78,30 +78,24 @@ class CohClass:
         scalar = Fraction(scalar)
         if not scalar:
             return
-        qexp = Fraction(qexp)
-        bucket = self.terms.setdefault(bc, {})
-        new = bucket.get(qexp, Fraction(0)) + scalar
+        key = (bc, Fraction(qexp))
+        new = self.terms.get(key, 0) + scalar
         if new:
-            bucket[qexp] = new
+            self.terms[key] = new
         else:
-            bucket.pop(qexp, None)
-            if not bucket:
-                del self.terms[bc]
+            del self.terms[key]
 
     def items(self):
         """Deterministic iteration: (BasisClass, qexp, scalar) sorted."""
-        for bc in sorted(self.terms):
-            for qexp in sorted(self.terms[bc]):
-                yield bc, qexp, self.terms[bc][qexp]
+        for (bc, qexp), scalar in sorted(self.terms.items()):
+            yield bc, qexp, scalar
 
     def at_q1(self) -> dict[BasisClass, Fraction]:
         """Specialize ``Q = 1``: collapse each basis coefficient to a rational."""
-        out = {}
-        for bc, bucket in self.terms.items():
-            total = sum(bucket.values(), Fraction(0))
-            if total:
-                out[bc] = total
-        return out
+        out: dict[BasisClass, Fraction] = {}
+        for (bc, _), scalar in self.terms.items():
+            out[bc] = out.get(bc, 0) + scalar
+        return {bc: total for bc, total in out.items() if total}
 
     def __bool__(self):
         return bool(self.terms)

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
     Sector,
     Weights,
-    age,
     inverse_sector,
     sector_table,
     sectors,
@@ -56,12 +54,6 @@ class TripleKind(enum.Enum):
     QUANTUM = "QUANTUM"
 
 
-@dataclass(frozen=True)
-class TripleCase:
-    kind: TripleKind
-    test_value: int
-
-
 def expected_curve_degree(
     w: Weights, g: Sector, d: int, g2: Sector, d2: int
 ) -> Fraction:
@@ -74,7 +66,7 @@ def expected_curve_degree(
     return 1 + degree(w, a) / 2 + degree(w, b) / 2 - w.n
 
 
-def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> TripleCase:
+def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> TripleKind:
     """Sort the triple ``(eta_1^1, eta_g^d, eta_g2^d2)`` into its case.
 
     The classifier is ``t = 1 + deg/2 + deg'/2 - n + mu*(gamma(g^-1) +
@@ -87,13 +79,12 @@ def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Tripl
     )
     if t.denominator != 1:
         raise InternalConsistencyError(f"classifier {t} is not an integer")
-    t = int(t)
-    if t % w.mu != 0:
-        return TripleCase(TripleKind.VANISHING, t)
+    if int(t) % w.mu != 0:
+        return TripleKind.VANISHING
     deg_sum = 2 + degree(w, BasisClass(g, d)) + degree(w, BasisClass(g2, d2))
     if deg_sum == 2 * w.n:
-        return TripleCase(TripleKind.CLASSICAL, t)
-    return TripleCase(TripleKind.QUANTUM, t)
+        return TripleKind.CLASSICAL
+    return TripleKind.QUANTUM
 
 
 def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
@@ -102,11 +93,11 @@ def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
     >>> three_point(Weights(1, 2), Fraction(0), 1, Fraction(1, 2), 0)
     Fraction(1, 4)
     """
-    case = classify_triple(w, g, d, g2, d2)
-    if case.kind is TripleKind.VANISHING:
+    kind = classify_triple(w, g, d, g2, d2)
+    if kind is TripleKind.VANISHING:
         return Fraction(0)
     table = sector_table(w)
-    if case.kind is TripleKind.CLASSICAL:
+    if kind is TripleKind.CLASSICAL:
         return table[g].inv_weight_product
     return table[g].inv_weight_product * table[g2].inv_weight_product
 
@@ -172,15 +163,3 @@ def a0_matrix(w: Weights) -> Matrix:
             m[index[target]][col] += w.mu * value
     return m
 
-
-def expected_dimension(
-    w: Weights, k: int, curve_deg: Fraction, types: tuple[Sector, ...]
-) -> Fraction:
-    """Virtual dimension of the space of genus-0 maps with ``k`` marked
-    points, hyperplane degree ``curve_deg`` and the given sector types:
-    ``2 (mu * curve_deg + n - 3 + k - sum of ages)``.
-    """
-    if k != len(types):
-        raise ValueError("k must equal the number of marked-point types")
-    total_age = sum((age(w, g) for g in types), Fraction(0))
-    return 2 * (w.mu * Fraction(curve_deg) + w.n - 3 + k - total_age)

@@ -3,10 +3,16 @@
 Every command takes ``--weights`` as a comma-separated list of positive
 integers and emits a deterministic JSON (default) or TSV artifact.  Exit
 codes: 0 success / all checks PASS, 1 a checker reported FAIL, 2 invalid
-input, 3 an internal exact identity failed (a bug, not an input problem).
+input or unwritable output, 3 an internal exact identity failed (a bug, not
+an input problem).
 
 Rationals render as ``p/q`` with ``q > 0`` and ``gcd(p, q) = 1``, or ``p``
-when ``q = 1``; Q-monomials render as ``{"q": exponent, "c": scalar}``.
+when ``q = 1``; a basis class as ``elem = {"gamma": "p/q", "d": k}``; and
+``smallqc`` writes ``eta_1^1 * src = c Q^q dst`` as the record
+``{"src": elem, "c": scalar, "q": exponent, "dst": elem}``.  Each command
+has one builder in :data:`COMMANDS`, and both formats render what it
+builds: a TSV row of ``basis``, ``cup`` or ``smallqc`` is one JSON record
+with nested records inline in key order and a null ``elem`` as ``0 0``.
 """
 
 from __future__ import annotations
@@ -29,16 +35,6 @@ from .selftest import run_selftest
 DEFAULT_MU_CAP = 64
 DEFAULT_MAX_LENGTH_CAP = 16
 MAX_WEIGHT = 10**6
-COMMANDS = (
-    "basis",
-    "cup",
-    "pairing",
-    "smallqc",
-    "bside",
-    "mirror",
-    "reconstruct",
-    "selftest",
-)
 
 
 @dataclass
@@ -130,6 +126,20 @@ def _flat(matrix) -> list[str]:
     return [_r(x) for row in matrix for x in row]
 
 
+def _cells(record) -> list[str]:
+    """TSV cells of a JSON record: its values in key order, nested records
+    inline, and a null ``elem`` (a zero cup product) as ``0 0``.
+
+    >>> _cells({"a": {"gamma": "1/2", "d": 0}, "coeff": "3", "out": None})
+    ['1/2', '0', '3', '0', '0']
+    """
+    if record is None:
+        return ["0", "0"]
+    if isinstance(record, dict):
+        return [cell for value in record.values() for cell in _cells(value)]
+    return [str(record)]
+
+
 def _report_payload(report: CheckReport) -> dict:
     return {
         "status": report.status,
@@ -138,143 +148,127 @@ def _report_payload(report: CheckReport) -> dict:
     }
 
 
-def _build_payload(cfg: RunConfig) -> tuple[dict, list[tuple], int]:
-    """Returns (json payload, tsv rows with header first, exit code)."""
+def _report_rows(*reports: CheckReport) -> list[tuple]:
+    return [("check", "status", "checks", "failures")] + [
+        (r.name, r.status, str(r.checks), str(len(r.failures))) for r in reports
+    ]
+
+
+# Each builder returns (JSON payload without "weights", TSV rows with the
+# header first).  A payload whose "status" is FAIL exits with 1.
+
+
+def _basis(cfg: RunConfig):
     w = cfg.weights
-    meta = {"weights": list(w.w)}
-    if cfg.command == "basis":
-        rows = [("gamma", "d", "degree")]
-        items = []
-        for bc in ordered_basis(w):
-            deg = _r(degree(w, bc))
-            items.append({"gamma": _r(bc.gamma), "d": bc.d, "degree": deg})
-            rows.append((_r(bc.gamma), str(bc.d), deg))
-        return {**meta, "mu": w.mu, "basis": items}, rows, 0
+    items = [
+        {"gamma": _r(bc.gamma), "d": bc.d, "degree": _r(degree(w, bc))}
+        for bc in ordered_basis(w)
+    ]
+    return {"mu": w.mu, "basis": items}, [("gamma", "d", "degree"), *map(_cells, items)]
 
-    if cfg.command == "cup":
-        basis = ordered_basis(w)
-        rows = [("a_gamma", "a_d", "b_gamma", "b_d", "coeff", "out_gamma", "out_d")]
-        table = []
-        for a in basis:
-            for b in basis:
-                coeff, target = cup_basis(w, a, b)
-                table.append(
-                    {
-                        "a": _elem(a),
-                        "b": _elem(b),
-                        "coeff": _r(coeff),
-                        "out": _elem(target) if target is not None else None,
-                    }
-                )
-                rows.append(
-                    (
-                        _r(a.gamma),
-                        str(a.d),
-                        _r(b.gamma),
-                        str(b.d),
-                        _r(coeff),
-                        _r(target.gamma) if target is not None else "0",
-                        str(target.d) if target is not None else "0",
-                    )
-                )
-        return {**meta, "table": table}, rows, 0
 
-    if cfg.command == "pairing":
-        gram = gram_matrix(w)
-        rows = [("row", "col", "value")]
-        for i, row in enumerate(gram):
-            for j, x in enumerate(row):
-                rows.append((str(i), str(j), _r(x)))
-        return {**meta, "mu": w.mu, "matrix": _flat(gram)}, rows, 0
+def _cup(cfg: RunConfig):
+    w = cfg.weights
+    basis = ordered_basis(w)
+    table = []
+    for a in basis:
+        for b in basis:
+            coeff, target = cup_basis(w, a, b)
+            table.append(
+                {
+                    "a": _elem(a),
+                    "b": _elem(b),
+                    "coeff": _r(coeff),
+                    "out": None if target is None else _elem(target),
+                }
+            )
+    header = ("a_gamma", "a_d", "b_gamma", "b_d", "coeff", "out_gamma", "out_d")
+    return {"table": table}, [header, *map(_cells, table)]
 
-    if cfg.command == "smallqc":
-        a0 = aquantum.a0_matrix(w)
-        products = []
-        rows = [("src_gamma", "src_d", "c", "q", "dst_gamma", "dst_d")]
-        for bc in ordered_basis(w):
-            image = aquantum.hyperplane_quantum_mult(w, CohClass.line(bc))
-            for target, qexp, scalar in image.items():
-                products.append(
-                    {
-                        "src": _elem(bc),
-                        "c": _r(scalar),
-                        "q": _r(qexp),
-                        "dst": _elem(target),
-                    }
-                )
-                rows.append(
-                    (
-                        _r(bc.gamma),
-                        str(bc.d),
-                        _r(scalar),
-                        _r(qexp),
-                        _r(target.gamma),
-                        str(target.d),
-                    )
-                )
-        return {
-            **meta,
-            "mu": w.mu,
-            "a0": _flat(a0),
-            "hyperplane_products": products,
-        }, rows, 0
 
-    if cfg.command == "bside":
-        a0 = bside.a0_matrix(w)
-        payload = {
-            **meta,
-            "mu": w.mu,
-            "svalues": [_r(v) for v in s_sequence(w).values],
-            "sigma": [_r(v) for v in spectrum(w)],
-            "metric": _flat(bside.metric_matrix(w)),
-            "a0": _flat(a0),
-            "charpoly": [_r(c) for c in char_poly(a0)],
-        }
-        rows = [("field", "index", "value")]
-        for name in ("svalues", "sigma", "metric", "a0", "charpoly"):
-            for i, v in enumerate(payload[name]):
-                rows.append((name, str(i), v))
-        return payload, rows, 0
+def _pairing(cfg: RunConfig):
+    gram = gram_matrix(cfg.weights)
+    rows = [("row", "col", "value")] + [
+        (str(i), str(j), _r(x)) for i, row in enumerate(gram) for j, x in enumerate(row)
+    ]
+    return {"mu": cfg.weights.mu, "matrix": _flat(gram)}, rows
 
-    if cfg.command == "mirror":
-        classical = check_classical(w)
-        quantum = check_quantum(w)
-        ok = classical.passed and quantum.passed
-        payload = {
-            **meta,
-            "status": "PASS" if ok else "FAIL",
-            "classical": _report_payload(classical),
-            "quantum": _report_payload(quantum),
-        }
-        rows = [("check", "status", "checks", "failures")]
-        for rep in (classical, quantum):
-            rows.append((rep.name, rep.status, str(rep.checks), str(len(rep.failures))))
-        return payload, rows, 0 if ok else 1
 
-    if cfg.command == "reconstruct":
-        potential = wdvv.reconstruct(w, cfg.max_length)
-        coeffs = [
-            {"alpha": list(alpha), "A": _r(value)}
-            for alpha, value in potential.nonzero_items()
+def _smallqc(cfg: RunConfig):
+    w = cfg.weights
+    products = []
+    for bc in ordered_basis(w):
+        image = aquantum.hyperplane_quantum_mult(w, CohClass.line(bc))
+        products += [
+            {"src": _elem(bc), "c": _r(scalar), "q": _r(qexp), "dst": _elem(target)}
+            for target, qexp, scalar in image.items()
         ]
-        rows = [("alpha", "A")]
-        for entry in coeffs:
-            rows.append((",".join(map(str, entry["alpha"])), entry["A"]))
-        return {**meta, "max_length": cfg.max_length, "coefficients": coeffs}, rows, 0
+    header = ("src_gamma", "src_d", "c", "q", "dst_gamma", "dst_d")
+    payload = {
+        "mu": w.mu,
+        "a0": _flat(aquantum.a0_matrix(w)),
+        "hyperplane_products": products,
+    }
+    return payload, [header, *map(_cells, products)]
 
-    if cfg.command == "selftest":
-        report = run_selftest(w)
-        payload = {**meta, **_report_payload(report)}
-        rows = [("check", "status", "checks", "failures")]
-        rows.append((report.name, report.status, str(report.checks), str(len(report.failures))))
-        return payload, rows, 0 if report.passed else 1
 
-    raise UsageError(f"unknown command {cfg.command!r}")
+def _bside(cfg: RunConfig):
+    w = cfg.weights
+    a0 = bside.a0_matrix(w)
+    fields = {
+        "svalues": [_r(v) for v in s_sequence(w).values],
+        "sigma": [_r(v) for v in spectrum(w)],
+        "metric": _flat(bside.metric_matrix(w)),
+        "a0": _flat(a0),
+        "charpoly": [_r(c) for c in char_poly(a0)],
+    }
+    rows = [("field", "index", "value")] + [
+        (name, str(i), v) for name, vs in fields.items() for i, v in enumerate(vs)
+    ]
+    return {"mu": w.mu, **fields}, rows
+
+
+def _mirror(cfg: RunConfig):
+    classical = check_classical(cfg.weights)
+    quantum = check_quantum(cfg.weights)
+    payload = {
+        "status": "PASS" if classical.passed and quantum.passed else "FAIL",
+        "classical": _report_payload(classical),
+        "quantum": _report_payload(quantum),
+    }
+    return payload, _report_rows(classical, quantum)
+
+
+def _reconstruct(cfg: RunConfig):
+    potential = wdvv.reconstruct(cfg.weights, cfg.max_length)
+    coeffs = [
+        {"alpha": list(alpha), "A": _r(value)}
+        for alpha, value in potential.nonzero_items()
+    ]
+    rows = [("alpha", "A")] + [(",".join(map(str, c["alpha"])), c["A"]) for c in coeffs]
+    return {"max_length": cfg.max_length, "coefficients": coeffs}, rows
+
+
+def _selftest(cfg: RunConfig):
+    report = run_selftest(cfg.weights)
+    return _report_payload(report), _report_rows(report)
+
+
+COMMANDS = {
+    "basis": _basis,
+    "cup": _cup,
+    "pairing": _pairing,
+    "smallqc": _smallqc,
+    "bside": _bside,
+    "mirror": _mirror,
+    "reconstruct": _reconstruct,
+    "selftest": _selftest,
+}
 
 
 def run(cfg: RunConfig) -> int:
     try:
-        payload, rows, code = _build_payload(cfg)
+        body, rows = COMMANDS[cfg.command](cfg)
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
@@ -282,19 +276,21 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"weights": list(cfg.weights.w), **body}, indent=2) + "\n"
     else:
         text = "".join("\t".join(row) + "\n" for row in rows)
-    if cfg.output:
-        try:
+    try:
+        if cfg.output:
             with open(cfg.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {cfg.output}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return code
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        target = cfg.output or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 1 if body.get("status") == "FAIL" else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -51,7 +51,7 @@ All arithmetic is exact; no floating point appears anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -101,8 +101,6 @@ class Potential:
     weights: Weights
     max_length: int
     coeffs: dict[MultiIndex, Fraction]
-    _dual: tuple[int, ...] = field(repr=False, default=())
-    _ginv: tuple[Fraction, ...] = field(repr=False, default=())
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
         alpha = _multi_index(alpha, self.weights.mu)
@@ -127,7 +125,10 @@ def _multi_index(alpha, mu: int) -> MultiIndex:
     return alpha
 
 
+@lru_cache(maxsize=None)
 def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The metric partner ``(n - a) mod mu`` of each index ``a`` and the
+    inverse metric entry on that pair."""
     mu = w.mu
     dual = tuple((w.n - a) % mu for a in range(mu))
     ginv = tuple(1 / bside.metric(w, a, dual[a]) for a in range(mu))
@@ -340,13 +341,7 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
             value = rec.coeff(key)
             if value:
                 coeffs[key] = value
-    return Potential(
-        weights=w,
-        max_length=max_length,
-        coeffs=coeffs,
-        _dual=rec.dual,
-        _ginv=rec.ginv,
-    )
+    return Potential(weights=w, max_length=max_length, coeffs=coeffs)
 
 
 def homogeneity_step(p: Potential, alpha: MultiIndex) -> Fraction:
@@ -380,8 +375,7 @@ def wdvv_residual(
             f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
             f"potential has {p.max_length}"
         )
-    dual = p._dual
-    ginv = p._ginv
+    dual, ginv = _metric_diagonal(p.weights)
     get = p.coeffs.get
     zero = Fraction(0)
     total = zero

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import orbimirror
 
 CLI = [sys.executable, "-m", "orbimirror.cli"]
@@ -13,7 +15,7 @@ CLI = [sys.executable, "-m", "orbimirror.cli"]
 PACKAGE_ROOT = str(pathlib.Path(orbimirror.__file__).resolve().parents[1])
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, stdout=subprocess.PIPE):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (PACKAGE_ROOT, full_env.get("PYTHONPATH")))
@@ -21,7 +23,7 @@ def run_cli(*args, env=None):
     if env:
         full_env.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env
+        CLI + list(args), stdout=stdout, stderr=subprocess.PIPE, text=True, env=full_env
     )
 
 
@@ -150,6 +152,14 @@ def test_unwritable_output_exit_2(tmp_path):
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1 and str(target) in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exit_2():
+    with open("/dev/full", "w") as full:
+        res = run_cli("basis", "--weights", "1,2", stdout=full)
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and "stdout" in res.stderr
 
 
 def test_selftest_pass():

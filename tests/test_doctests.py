@@ -1,7 +1,9 @@
 import doctest
 
 import orbimirror.acohomology
+import orbimirror.aquantum
 import orbimirror.bside
+import orbimirror.cli
 import orbimirror.combinatorics
 import orbimirror.mirror
 import orbimirror.wdvv
@@ -11,7 +13,9 @@ def test_module_doctests():
     for module in (
         orbimirror.combinatorics,
         orbimirror.acohomology,
+        orbimirror.aquantum,
         orbimirror.bside,
+        orbimirror.cli,
         orbimirror.mirror,
         orbimirror.wdvv,
     ):

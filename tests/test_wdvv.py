@@ -8,6 +8,7 @@ import pytest
 from _oracles import kontsevich_numbers
 from conftest import SUITE
 from orbimirror import (
+    Potential,
     Weights,
     homogeneity_step,
     initial_coeffs,
@@ -229,6 +230,24 @@ def test_residual_rejects_malformed_input(eq, alpha):
     p = reconstruct(Weights(1, 1, 1), 5)
     with pytest.raises(ValueError):
         wdvv_residual(p, *eq, alpha)
+
+
+def test_hand_built_potential_matches_reconstruct():
+    w = Weights(1, 1, 1)
+    p = reconstruct(w, 6)
+    copy = Potential(w, 6, dict(p.coeffs))
+    assert copy == p
+    for total in range(3):
+        for alpha in itertools.product(range(total + 1), repeat=w.mu):
+            if sum(alpha) != total:
+                continue
+            for eq in itertools.product(range(w.mu), repeat=4):
+                assert wdvv_residual(copy, *eq, alpha) == wdvv_residual(p, *eq, alpha)
+    # The residual reads the metric from the weights alone, so a hand-built
+    # potential with one wrong coefficient is caught.
+    wrong = dict(p.coeffs)
+    wrong[(0, 0, 5)] += 1
+    assert _nonzero_residuals(Potential(w, 6, wrong), 2)
 
 
 def test_residuals_vanish_small_sweep(suite_weights):

@@ -12,7 +12,8 @@ when ``q = 1``; a basis class as ``elem = {"gamma": "p/q", "d": k}``; and
 ``{"src": elem, "c": scalar, "q": exponent, "dst": elem}``.  Each command
 has one builder in :data:`COMMANDS`, and both formats render what it
 builds: a TSV row of ``basis``, ``cup`` or ``smallqc`` is one JSON record
-with nested records inline in key order and a null ``elem`` as ``0 0``.
+with nested records inline in key order; in ``cup`` a null ``out`` (a zero
+product) is written ``0 0``.
 """
 
 from __future__ import annotations
@@ -128,13 +129,11 @@ def _flat(matrix) -> list[str]:
 
 def _cells(record) -> list[str]:
     """TSV cells of a JSON record: its values in key order, nested records
-    inline, and a null ``elem`` (a zero cup product) as ``0 0``.
+    inline.
 
-    >>> _cells({"a": {"gamma": "1/2", "d": 0}, "coeff": "3", "out": None})
-    ['1/2', '0', '3', '0', '0']
+    >>> _cells({"a": {"gamma": "1/2", "d": 0}, "coeff": "3"})
+    ['1/2', '0', '3']
     """
-    if record is None:
-        return ["0", "0"]
     if isinstance(record, dict):
         return [cell for value in record.values() for cell in _cells(value)]
     return [str(record)]
@@ -182,8 +181,11 @@ def _cup(cfg: RunConfig):
                     "out": None if target is None else _elem(target),
                 }
             )
+    # A zero product has no target: null in JSON, ``0 0`` in TSV.
+    zero = {"gamma": "0", "d": 0}
     header = ("a_gamma", "a_d", "b_gamma", "b_d", "coeff", "out_gamma", "out_d")
-    return {"table": table}, [header, *map(_cells, table)]
+    rows = [_cells({**rec, "out": rec["out"] or zero}) for rec in table]
+    return {"table": table}, [header, *rows]
 
 
 def _pairing(cfg: RunConfig):
@@ -287,6 +289,10 @@ def run(cfg: RunConfig) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not cfg.output:
+            # Send the bytes stdout could not take to the null device, so the
+            # interpreter's flush at exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         target = cfg.output or "stdout"
         print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2

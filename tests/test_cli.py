@@ -155,9 +155,14 @@ def test_unwritable_output_exit_2(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_stdout_exit_2():
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_full_stdout_exit_2(unbuffered):
+    # Buffered stdout keeps the unwritten bytes until the interpreter exits;
+    # an empty PYTHONUNBUFFERED counts as unset.
     with open("/dev/full", "w") as full:
-        res = run_cli("basis", "--weights", "1,2", stdout=full)
+        res = run_cli(
+            "basis", "--weights", "1,2", stdout=full, env={"PYTHONUNBUFFERED": unbuffered}
+        )
     assert res.returncode == 2
     assert res.stderr.count("\n") == 1 and "stdout" in res.stderr
 

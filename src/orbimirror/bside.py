@@ -69,9 +69,11 @@ def omega_frame(w: Weights) -> OmegaFrame:
     return OmegaFrame(weights=w, a=tuple(a))
 
 
-def _sector_at(w: Weights, k: int) -> SectorData:
-    """Sector-table record of the s-value ``s(k)``."""
-    return sector_table(w)[s_sequence(w).values[k]]
+@lru_cache(maxsize=None)
+def _index_sectors(w: Weights) -> tuple[SectorData, ...]:
+    """Sector-table record of each s-value ``s(k)``, for ``k = 0 .. mu - 1``."""
+    table = sector_table(w)
+    return tuple(table[v] for v in s_sequence(w).values)
 
 
 def _weight_power(w: Weights, exponent: tuple[int, ...]) -> Fraction:
@@ -93,13 +95,14 @@ def product(w: Weights, i: int, j: int) -> tuple[Fraction, int]:
     (Fraction(1, 2), 2)
     """
     a = omega_frame(w).a
+    secs = _index_sectors(w)
     tgt = (i + j) % w.mu
     exponent = tuple(
         km_i + km_j - km_t + at - aij
         for km_i, km_j, km_t, at, aij in zip(
-            a[_sector_at(w, i).k_min],
-            a[_sector_at(w, j).k_min],
-            a[_sector_at(w, tgt).k_min],
+            a[secs[i].k_min],
+            a[secs[j].k_min],
+            a[secs[tgt].k_min],
             a[tgt],
             a[i + j],
         )
@@ -107,11 +110,21 @@ def product(w: Weights, i: int, j: int) -> tuple[Fraction, int]:
     return _weight_power(w, exponent), tgt
 
 
+@lru_cache(maxsize=None)
+def metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The metric partner ``k* = (n - k) mod mu`` of each index ``k``, and the
+    pairing entry ``g(e_{k*}, e_k) = prod(1/w_i, i in I(s(k)))``.  The residue
+    metric vanishes off these pairs.
+    """
+    mu = w.mu
+    dual = tuple((w.n - k) % mu for k in range(mu))
+    return dual, tuple(s.inv_weight_product for s in _index_sectors(w))
+
+
 def metric(w: Weights, j: int, k: int) -> Fraction:
     """Residue pairing ``g(e_j, e_k)``; nonzero exactly on ``j + k = n mod mu``."""
-    if (j + k) % w.mu != w.n % w.mu:
-        return Fraction(0)
-    return _sector_at(w, k).inv_weight_product
+    dual, entry = metric_diagonal(w)
+    return entry[k] if dual[k] == j else Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -127,13 +140,13 @@ def three_tensor(w: Weights, j: int, k: int) -> Fraction:
     weights over one or both fixed-index sets depending on whether the
     spectrum is additive on the triple.
     """
-    mu = w.mu
-    if (1 + j + k) % mu != w.n % mu:
+    dual, entry = metric_diagonal(w)
+    if dual[(1 + j) % w.mu] != k:
         return Fraction(0)
     sig = spectrum(w)
     if sig[1] + sig[j] + sig[k] == w.n:
-        return _sector_at(w, j).inv_weight_product
-    return _sector_at(w, j).inv_weight_product * _sector_at(w, k).inv_weight_product
+        return entry[j]
+    return entry[j] * entry[k]
 
 
 def a0_matrix(w: Weights) -> Matrix:
@@ -143,14 +156,14 @@ def a0_matrix(w: Weights) -> Matrix:
     and ``mu * prod(1/w_i, i in I(s(j)))`` across a block boundary.
     """
     mu = w.mu
-    vals = s_sequence(w).values
+    secs = _index_sectors(w)
     m = zeros(mu)
     for j in range(mu):
         row = (j + 1) % mu
-        if vals[row] == vals[j]:
+        if secs[row].gamma == secs[j].gamma:
             m[row][j] = Fraction(mu)
         else:
-            m[row][j] = mu * _sector_at(w, j).inv_weight_product
+            m[row][j] = mu * secs[j].inv_weight_product
     return m
 
 

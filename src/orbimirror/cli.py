@@ -52,6 +52,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_weights(text: str) -> Weights:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -69,7 +76,7 @@ def _parse_weights(text: str) -> Weights:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbimirror",
         description=(
             "Exact computations in the orbifold quantum cohomology of "

@@ -112,11 +112,3 @@ def mat_inverse(a: Matrix) -> Matrix:
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]
 
-
-def permutation_matrix(images: list[int]) -> Matrix:
-    """Matrix ``P`` with ``P[b][images[b]] = 1`` (row index -> column index)."""
-    n = len(images)
-    p = zeros(n)
-    for b, k in enumerate(images):
-        p[b][k] = Fraction(1)
-    return p

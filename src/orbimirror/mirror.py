@@ -32,7 +32,6 @@ from .acohomology import (
 )
 from .combinatorics import Weights, sector_table, spectrum
 from .errors import InternalConsistencyError
-from .linalg import matmul, permutation_matrix, transpose
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,13 @@ class MirrorIndexMap:
     forward: dict[BasisClass, int]
     inverse: dict[int, BasisClass]
 
-    def __getitem__(self, bc: BasisClass) -> int:
-        return self.forward[bc]
+
+def _text(value):
+    """A compared value as a failure record shows it: a string, or a dict of
+    strings for a sparse vector."""
+    if isinstance(value, dict):
+        return {k: str(v) for k, v in value.items()}
+    return str(value)
 
 
 @dataclass
@@ -67,6 +71,19 @@ class CheckReport:
         self.checks += 1
         if not condition:
             self.failures.append(info)
+
+    def compare(
+        self, check: str, a_side, b_side, *, sides=("a_side", "b_side"), **where
+    ) -> None:
+        """Count one check that ``a_side == b_side``.  A failure records
+        ``check``, then ``where``, then both values as text under the two
+        keys ``sides``; nothing is turned into text while the check passes."""
+        self.checks += 1
+        if a_side != b_side:
+            a_key, b_key = sides
+            self.failures.append(
+                {"check": check, **where, a_key: _text(a_side), b_key: _text(b_side)}
+            )
 
 
 def mirror_index_map(w: Weights) -> MirrorIndexMap:
@@ -92,55 +109,63 @@ def mirror_index_map(w: Weights) -> MirrorIndexMap:
     return MirrorIndexMap(forward, inverse)
 
 
+def basis_label(bc: BasisClass) -> tuple[str, int]:
+    """How a failure record names a basis class."""
+    return str(bc.gamma), bc.d
+
+
+def _basis_pairs(w: Weights, xi: MirrorIndexMap):
+    """Every ordered pair ``a, b`` of basis classes, in basis order, with the
+    failure-record fields ``pair`` and ``indices`` (the B indices)."""
+    basis = ordered_basis(w)
+    labels = [basis_label(bc) for bc in basis]
+    for a, la in zip(basis, labels):
+        ia = xi.forward[a]
+        for b, lb in zip(basis, labels):
+            yield a, b, {"pair": (la, lb), "indices": (ia, xi.forward[b])}
+
+
+def _at_b_indices(w: Weights, xi: MirrorIndexMap, *tables) -> list:
+    """Each A-side table over the ordered basis moved to B indices: entry
+    ``[j][k]`` is ``X[order[j]][order[k]]``, where ``order[k]`` is the basis
+    position of ``xi.inverse[k]``.  This is ``P^T X P`` for the permutation
+    matrix ``P`` of the index map."""
+    index = basis_index(w)
+    order = [index[xi.inverse[k]] for k in range(w.mu)]
+    return [[[x[p][q] for q in order] for p in order] for x in tables]
+
+
 def check_classical(w: Weights) -> CheckReport:
     """Exact comparison of the two graded Frobenius algebras."""
     report = CheckReport("classical", w.w)
     xi = mirror_index_map(w)
-    basis = ordered_basis(w)
     sigma = spectrum(w)
 
-    for bc in basis:
-        report.expect(
-            degree(w, bc) / 2 == sigma[xi.forward[bc]],
-            check="grading",
-            cls=(str(bc.gamma), bc.d),
-            half_degree=str(degree(w, bc) / 2),
-            sigma=str(sigma[xi.forward[bc]]),
-            index=xi.forward[bc],
+    for bc in ordered_basis(w):
+        k = xi.forward[bc]
+        report.compare(
+            "grading",
+            degree(w, bc) / 2,
+            sigma[k],
+            sides=("half_degree", "sigma"),
+            cls=basis_label(bc),
+            index=k,
         )
 
-    gram = gram_matrix(w)
-    index = basis_index(w)
-    for a in basis:
-        for b in basis:
-            ia, ib = xi.forward[a], xi.forward[b]
-            pa = gram[index[a]][index[b]]
-            pb = bside.metric(w, ia, ib)
-            report.expect(
-                pa == pb,
-                check="pairing",
-                pair=((str(a.gamma), a.d), (str(b.gamma), b.d)),
-                indices=(ia, ib),
-                a_side=str(pa),
-                b_side=str(pb),
-            )
+    (gram,) = _at_b_indices(w, xi, gram_matrix(w))
+    metric = bside.metric_matrix(w)
+    for _, _, where in _basis_pairs(w, xi):
+        ia, ib = where["indices"]
+        report.compare("pairing", gram[ia][ib], metric[ia][ib], **where)
 
-    for a in basis:
-        for b in basis:
-            ia, ib = xi.forward[a], xi.forward[b]
-            coeff, target = cup_basis(w, a, b)
-            a_vec = {xi.forward[target]: coeff} if target is not None else {}
-            bcoeff, btarget = bside.product(w, ia, ib)
-            graded = sigma[ia] + sigma[ib] == sigma[btarget]
-            b_vec = {btarget: bcoeff} if graded else {}
-            report.expect(
-                a_vec == b_vec,
-                check="graded_product",
-                pair=((str(a.gamma), a.d), (str(b.gamma), b.d)),
-                indices=(ia, ib),
-                a_side={k: str(v) for k, v in a_vec.items()},
-                b_side={k: str(v) for k, v in b_vec.items()},
-            )
+    for a, b, where in _basis_pairs(w, xi):
+        ia, ib = where["indices"]
+        coeff, target = cup_basis(w, a, b)
+        a_vec = {xi.forward[target]: coeff} if target is not None else {}
+        bcoeff, btarget = bside.product(w, ia, ib)
+        graded = sigma[ia] + sigma[ib] == sigma[btarget]
+        b_vec = {btarget: bcoeff} if graded else {}
+        report.compare("graded_product", a_vec, b_vec, **where)
     return report
 
 
@@ -158,50 +183,36 @@ def check_quantum(w: Weights) -> CheckReport:
         )
     report = CheckReport("quantum", w.w)
     xi = mirror_index_map(w)
-    basis = ordered_basis(w)
     sigma = spectrum(w)
 
-    gram_a = [list(row) for row in gram_matrix(w)]
-    gram_b = [list(row) for row in bside.metric_matrix(w)]
-    a0_a = aquantum.a0_matrix(w)
+    gram_a, a0_a = _at_b_indices(w, xi, gram_matrix(w), aquantum.a0_matrix(w))
     a0_b = bside.a0_matrix(w)
-
-    perm = permutation_matrix([xi.forward[bc] for bc in basis])
-    pt = transpose(perm)
     report.expect(
-        matmul(pt, matmul(gram_a, perm)) == gram_b,
+        gram_a == [list(row) for row in bside.metric_matrix(w)],
         check="gram_transport",
         detail="P^T * gram_A * P != gram_B",
     )
     report.expect(
-        matmul(pt, matmul(a0_a, perm)) == a0_b,
+        a0_a == a0_b,
         check="a0_transport",
         detail="P^T * A0_A * P != A0_B at Q=1",
     )
-    for bidx, bc in enumerate(basis):
-        for bidx2, bc2 in enumerate(basis):
-            report.expect(
-                a0_a[bidx][bidx2] == a0_b[xi.forward[bc]][xi.forward[bc2]],
-                check="a0_entry",
-                pair=((str(bc.gamma), bc.d), (str(bc2.gamma), bc2.d)),
-                indices=(xi.forward[bc], xi.forward[bc2]),
-                a_side=str(a0_a[bidx][bidx2]),
-                b_side=str(a0_b[xi.forward[bc]][xi.forward[bc2]]),
-            )
+    for _, _, where in _basis_pairs(w, xi):
+        ia, ib = where["indices"]
+        report.compare("a0_entry", a0_a[ia][ib], a0_b[ia][ib], **where)
 
-    for bc in basis:
+    for bc in ordered_basis(w):
+        half = degree(w, bc) / 2
         k = xi.forward[bc]
-        report.expect(
-            degree(w, bc) / 2 == sigma[k],
-            check="a_infinity_transport",
-            cls=(str(bc.gamma), bc.d),
-            half_degree=str(degree(w, bc) / 2),
-            sigma=str(sigma[k]),
+        report.compare(
+            "a_infinity_transport",
+            half,
+            sigma[k],
+            sides=("half_degree", "sigma"),
+            cls=basis_label(bc),
         )
         report.expect(
-            1 - degree(w, bc) / 2 == 1 - sigma[k],
-            check="euler_coefficients",
-            cls=(str(bc.gamma), bc.d),
+            1 - half == 1 - sigma[k], check="euler_coefficients", cls=basis_label(bc)
         )
 
     unit_class = BasisClass(Fraction(0), 0)
@@ -211,16 +222,11 @@ def check_quantum(w: Weights) -> CheckReport:
         index=xi.forward[unit_class],
     )
 
-    for a in basis:
-        for b in basis:
-            lhs = aquantum.three_point(w, a.gamma, a.d, b.gamma, b.d)
-            rhs = bside.three_tensor(w, xi.forward[a], xi.forward[b])
-            report.expect(
-                lhs == rhs,
-                check="three_point_tensor",
-                pair=((str(a.gamma), a.d), (str(b.gamma), b.d)),
-                indices=(xi.forward[a], xi.forward[b]),
-                a_side=str(lhs),
-                b_side=str(rhs),
-            )
+    for a, b, where in _basis_pairs(w, xi):
+        report.compare(
+            "three_point_tensor",
+            aquantum.three_point(w, a.gamma, a.d, b.gamma, b.d),
+            bside.three_tensor(w, *where["indices"]),
+            **where,
+        )
     return report

@@ -18,7 +18,6 @@ from .acohomology import (
     CohClass,
     a_infinity_matrix,
     basis_index,
-    cup,
     cup_basis,
     degree,
     gram_matrix,
@@ -37,7 +36,7 @@ from .combinatorics import (
     spectrum,
 )
 from .linalg import det, mat_add, mat_inverse, matmul, scalar_mul, transpose, identity
-from .mirror import CheckReport
+from .mirror import CheckReport, basis_label
 
 
 def _check_basis_count(w: Weights, report: CheckReport) -> None:
@@ -51,119 +50,97 @@ def _check_basis_count(w: Weights, report: CheckReport) -> None:
     )
 
 
+def _adjoint_sum(grading, metric) -> list[list[Fraction]]:
+    """``A + G^-1 A^T G`` for a grading matrix ``A`` and a metric ``G``."""
+    g = [list(row) for row in metric]
+    return mat_add(grading, matmul(mat_inverse(g), matmul(transpose(grading), g)))
+
+
 def _check_grading_adjoint(w: Weights, report: CheckReport) -> None:
-    # A side: A + G^-1 A^T G == n * Id for A = diag(deg / 2).
+    # Both sides: A + G^-1 A^T G == n * Id, for A = diag(deg / 2) with the
+    # pairing, and for A = diag(sigma) with the residue metric.
     mu = w.mu
-    a_inf = a_infinity_matrix(w)
-    gram = [list(row) for row in gram_matrix(w)]
-    ginv = mat_inverse(gram)
-    adjoint = matmul(ginv, matmul(transpose(a_inf), gram))
     expected = scalar_mul(Fraction(w.n), identity(mu))
     report.expect(
-        mat_add(a_inf, adjoint) == expected,
+        _adjoint_sum(a_infinity_matrix(w), gram_matrix(w)) == expected,
         check="a_side_grading_adjoint",
         detail="diag(deg/2) + adjoint != n * Id",
     )
-    # B side: same with diag(sigma) and the residue metric.
     sig = spectrum(w)
-    b_inf = [[Fraction(0)] * mu for _ in range(mu)]
-    for i in range(mu):
-        b_inf[i][i] = sig[i]
-    bmetric = [list(row) for row in bside.metric_matrix(w)]
-    binv = mat_inverse(bmetric)
-    badjoint = matmul(binv, matmul(transpose(b_inf), bmetric))
+    b_inf = [[sig[i] if i == j else Fraction(0) for j in range(mu)] for i in range(mu)]
     report.expect(
-        mat_add(b_inf, badjoint) == expected,
+        _adjoint_sum(b_inf, bside.metric_matrix(w)) == expected,
         check="b_side_grading_adjoint",
         detail="diag(sigma) + adjoint != n * Id",
     )
-    report.expect(det(gram) != 0, check="pairing_nondegenerate")
+    report.expect(det(gram_matrix(w)) != 0, check="pairing_nondegenerate")
 
 
 def _check_cup_ring(w: Weights, report: CheckReport) -> None:
     basis = ordered_basis(w)
-    one = unit(w)
-    for a in basis:
-        ca = CohClass.line(a)
+    index = basis_index(w)
+    labels = [basis_label(bc) for bc in basis]
+    cups = [[cup_basis(w, a, b) for b in basis] for a in basis]
+    one = index[BasisClass(Fraction(0), 0)]
+    for p, a in enumerate(basis):
         report.expect(
-            cup(w, one, ca) == ca and cup(w, ca, one) == ca,
+            cups[one][p] == (1, a) and cups[p][one] == (1, a),
             check="cup_unit",
-            cls=(str(a.gamma), a.d),
+            cls=labels[p],
         )
-    for a in basis:
-        for b in basis:
-            coeff, target = cup_basis(w, a, b)
-            coeff_rev, target_rev = cup_basis(w, b, a)
+    for p, a in enumerate(basis):
+        for q, b in enumerate(basis):
+            coeff, target = cups[p][q]
             report.expect(
-                (coeff, target) == (coeff_rev, target_rev),
+                (coeff, target) == cups[q][p],
                 check="cup_commutative",
-                pair=((str(a.gamma), a.d), (str(b.gamma), b.d)),
+                pair=(labels[p], labels[q]),
             )
             if target is not None:
                 report.expect(
                     degree(w, target) == degree(w, a) + degree(w, b),
                     check="cup_degree_additive",
-                    pair=((str(a.gamma), a.d), (str(b.gamma), b.d)),
+                    pair=(labels[p], labels[q]),
                 )
-    index = basis_index(w)
+    # Each product as (coeff, target position), with (0, None) for zero.
+    zero = (0, None)
+    prods = [
+        [zero if t is None or not c else (c, index[t]) for c, t in row]
+        for row in cups
+    ]
     gram = gram_matrix(w)
-    for a in basis:
-        ca = CohClass.line(a)
-        for b in basis:
-            cb = CohClass.line(b)
-            ab = cup(w, ca, cb)
-            for c in basis:
-                cc = CohClass.line(c)
-                left = cup(w, ab, cc)
-                right = cup(w, ca, cup(w, cb, cc))
+    for p, la in enumerate(labels):
+        for q, lb in enumerate(labels):
+            c_ab, ab = prods[p][q]
+            for r, lc in enumerate(labels):
+                c_bc, bc = prods[q][r]
+                c_left, left = zero if ab is None else prods[ab][r]
+                c_right, right = zero if bc is None else prods[p][bc]
+                triple = (la, lb, lc)
                 report.expect(
-                    left == right,
+                    (c_ab * c_left, left) == (c_bc * c_right, right),
                     check="cup_associative",
-                    triple=(
-                        (str(a.gamma), a.d),
-                        (str(b.gamma), b.d),
-                        (str(c.gamma), c.d),
-                    ),
+                    triple=triple,
                 )
-                lhs = sum(
-                    (
-                        scalar * gram[index[bc]][index[c]]
-                        for bc, qexp, scalar in ab.items()
-                    ),
-                    Fraction(0),
-                )
-                bc_class = cup(w, cb, cc)
-                rhs = sum(
-                    (
-                        scalar * gram[index[a]][index[bc]]
-                        for bc, qexp, scalar in bc_class.items()
-                    ),
-                    Fraction(0),
-                )
-                report.expect(
-                    lhs == rhs,
-                    check="cup_frobenius",
-                    triple=(
-                        (str(a.gamma), a.d),
-                        (str(b.gamma), b.d),
-                        (str(c.gamma), c.d),
-                    ),
-                )
+                lhs = 0 if ab is None else c_ab * gram[ab][r]
+                rhs = 0 if bc is None else c_bc * gram[p][bc]
+                report.expect(lhs == rhs, check="cup_frobenius", triple=triple)
 
 
 def _check_b_ring(w: Weights, report: CheckReport) -> None:
     mu = w.mu
+    prods = [[bside.product(w, i, j) for j in range(mu)] for i in range(mu)]
+    metric = bside.metric_matrix(w)
     for i in range(mu):
         for j in range(mu):
-            cij, tij = bside.product(w, i, j)
-            cji, tji = bside.product(w, j, i)
+            cij, tij = prods[i][j]
             report.expect(
-                (cij, tij) == (cji, tji), check="b_product_commutative", pair=(i, j)
+                (cij, tij) == prods[j][i], check="b_product_commutative", pair=(i, j)
             )
             for k in range(mu):
-                c1, t1 = bside.product(w, tij, k)
-                c2, t2 = bside.product(w, j, k)
-                c3, t3 = bside.product(w, i, t2)
+                c1, t1 = prods[tij][k]
+                c2, t2 = prods[j][k]
+                c3, t3 = prods[i][t2]
                 report.expect(
                     (cij * c1, t1) == (c2 * c3, t3),
                     check="b_product_associative",
@@ -171,22 +148,22 @@ def _check_b_ring(w: Weights, report: CheckReport) -> None:
                 )
     for i in range(mu):
         for j in range(mu):
-            cij, tij = bside.product(w, i, j)
+            cij, tij = prods[i][j]
             for k in range(mu):
-                base = cij * bside.metric(w, tij, k)
-                cjk, tjk = bside.product(w, j, k)
-                other = cjk * bside.metric(w, tjk, i)
+                cjk, tjk = prods[j][k]
                 report.expect(
-                    base == other, check="b_frobenius_symmetric", triple=(i, j, k)
+                    cij * metric[tij][k] == cjk * metric[tjk][i],
+                    check="b_frobenius_symmetric",
+                    triple=(i, j, k),
                 )
     if mu > 1:
         for j in range(mu):
+            c1j, t1j = prods[1][j]
             for k in range(mu):
-                t = bside.three_tensor(w, j, k)
-                c1j, t1j = bside.product(w, 1, j)
-                direct = c1j * bside.metric(w, t1j, k)
                 report.expect(
-                    t == direct, check="three_tensor_matches_product", pair=(j, k)
+                    bside.three_tensor(w, j, k) == c1j * metric[t1j][k],
+                    check="three_tensor_matches_product",
+                    pair=(j, k),
                 )
     sig = spectrum(w)
     for i in range(mu):

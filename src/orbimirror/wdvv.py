@@ -72,14 +72,15 @@ def initial_coeffs(w: Weights) -> MappingProxyType:
     Nonzero exactly when ``i + j + k = n mod mu``.
     """
     mu = w.mu
+    dual, entry = bside.metric_diagonal(w)
     out: dict[tuple[int, int, int], Fraction] = {}
     for i in range(mu):
         for j in range(i, mu):
             coeff, tgt = bside.product(w, i, j)
-            for k in range(j, mu):
-                value = coeff * bside.metric(w, tgt, k)
-                if value:
-                    out[(i, j, k)] = value
+            # The metric pairs ``tgt`` with ``dual[tgt]`` alone.
+            k = dual[tgt]
+            if k >= j:
+                out[(i, j, k)] = coeff * entry[k]
     return MappingProxyType(out)
 
 
@@ -127,12 +128,10 @@ def _multi_index(alpha, mu: int) -> MultiIndex:
 
 @lru_cache(maxsize=None)
 def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """The metric partner ``(n - a) mod mu`` of each index ``a`` and the
-    inverse metric entry on that pair."""
-    mu = w.mu
-    dual = tuple((w.n - a) % mu for a in range(mu))
-    ginv = tuple(1 / bside.metric(w, a, dual[a]) for a in range(mu))
-    return dual, ginv
+    """The metric partner ``a*`` of each index ``a`` and the inverse metric
+    entry ``1 / g(e_a, e_{a*})``."""
+    dual, entry = bside.metric_diagonal(w)
+    return dual, tuple(1 / entry[b] for b in dual)
 
 
 def _bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
@@ -177,9 +176,6 @@ class _Reconstructor:
         self.memo: dict[MultiIndex, Fraction] = {}
 
     # -- basic rules ------------------------------------------------------
-
-    def _cubic(self, i: int, j: int, k: int) -> Fraction:
-        return self.init3.get(tuple(sorted((i, j, k))), Fraction(0))
 
     def admissible(self, alpha: MultiIndex) -> bool:
         """The selection rule: ``A(alpha)`` can be nonzero only if ``alpha``
@@ -246,60 +242,43 @@ class _Reconstructor:
             ):
                 break
             t_stop += 1
-        value = self.coeff(state_key(t_stop))
+        # The equation at ``t`` reads state ``t + 1``: the step before it
+        # memoised that state, or ``coeff`` settles it for ``t + 1 = t_stop``.
         for t in range(t_stop - 1, -1, -1):
-            value = self._solve_equation(alpha, m - t - 1, k_slot, (l0 + t) % mu, value)
+            value = self._solve_equation(alpha, m - t - 1, k_slot, (l0 + t) % mu)
             self.memo[state_key(t)] = value
         return value
 
-    def _solve_equation(
-        self, alpha: MultiIndex, j: int, k: int, l: int, next_value: Fraction
-    ) -> Fraction:
+    def _solve_equation(self, alpha: MultiIndex, j: int, k: int, l: int) -> Fraction:
         """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at ``alpha``.
 
-        ``next_value`` is ``A(alpha + e_j + e_k + e_{(1+l) mod mu})``, the
-        other top-length unknown, already determined.
+        The unknown ``A(alpha + e_{1+j} + e_k + e_l)`` is the left-side term
+        at ``beta = 0``; every other term is known, including the other
+        top-length one ``A(alpha + e_j + e_k + e_{(1+l) mod mu})`` (right side,
+        ``beta = alpha``).
         """
         mu = self.mu
         n = self.w.n
         dual = self.dual
         ginv = self.ginv
         total = Fraction(0)
-        alpha_len = sum(alpha)
-
-        # RHS, beta = alpha term: carries next_value.
-        a = (1 + l) % mu
-        pivot4 = ginv[a] * self._cubic(dual[a], 1, l)
-        total += pivot4 * next_value
-        # RHS, beta = 0 term.
-        a = dual[(j + k) % mu]
-        c0 = self._cubic(j, k, a)
-        if c0:
-            total += ginv[a] * c0 * self.coeff(_bump(alpha, dual[a], 1, l))
-        # LHS, beta = alpha term (moved to the right with a minus sign).
-        a = (k + l) % mu
-        c0 = self._cubic(dual[a], k, l)
-        if c0:
-            total -= ginv[a] * c0 * self.coeff(_bump(alpha, 1, j, a))
-        # Interior terms of both sides.  Of each sum over ``a`` only the one
-        # ``a`` that gives the first factor the right charge can be nonzero.
+        pivot = Fraction(0)
+        # Of each sum over ``a`` only the one ``a`` that gives the first
+        # factor the right charge can be nonzero.
         for beta, binom in _sub_indices(alpha):
-            blen = sum(beta)
-            if blen == 0 or blen == alpha_len:
-                continue
             gamma = tuple(x - y for x, y in zip(alpha, beta))
-            shift = n + blen - _charge(beta) - j
+            shift = n + sum(beta) - _charge(beta) - j
             a = (shift - 1) % mu
             f1 = self.coeff(_bump(beta, 1, j, a))
-            if f1:
+            if not any(beta):
+                # The unknown's own term: keep its coefficient as the pivot.
+                pivot = ginv[a] * f1
+            elif f1:
                 total -= binom * ginv[a] * f1 * self.coeff(_bump(gamma, dual[a], k, l))
             a = (shift - k) % mu
             h1 = self.coeff(_bump(beta, j, k, a))
             if h1:
                 total += binom * ginv[a] * h1 * self.coeff(_bump(gamma, dual[a], 1, l))
-        # Divide by the coefficient of the unknown (LHS beta = 0 term).
-        a1 = dual[(1 + j) % mu]
-        pivot = ginv[a1] * self._cubic(1, j, a1)
         if not pivot:
             raise InternalConsistencyError(
                 f"zero pivot in WDVV equation (1,{j},{k},{l}) at alpha={alpha}"

@@ -55,6 +55,32 @@ def test_unknown_command_exit_2():
     assert res.returncode == 2
 
 
+BAD_INVOCATIONS = {
+    "unknown_command": ["frobnicate", "--weights", "1,2"],
+    "missing_weights": ["cup"],
+    "non_integer_max_length": ["reconstruct", "--weights", "1,2", "--max-length", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS.values(), ids=list(BAD_INVOCATIONS))
+def test_bad_invocation_returns_2(argv, capsys):
+    from orbimirror import cli
+
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+    res = run_cli(*argv)
+    assert (res.returncode, res.stderr) == (2, err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cup", "--help"]])
+def test_help_exit_0(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    assert res.stdout.startswith("usage: orbimirror")
+
+
 def test_cup_table_shape():
     res = run_cli("cup", "--weights", "1,2,2,3,3,3")
     payload = json.loads(res.stdout)

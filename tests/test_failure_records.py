@@ -1,0 +1,150 @@
+"""Failure records of the exact checkers under injected faults.
+
+Real inputs never fail, so these tests break one layer on purpose and pin
+what the checkers then report: the total count of checks, and for each
+failing category its count and its first record, keys in order (the CLI
+writes the records as JSON).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from orbimirror import Weights, acohomology, bside, check_classical, check_quantum
+from orbimirror import run_selftest
+
+
+def _by_check(report) -> dict:
+    """``{check: (count, first record as a list of items)}``."""
+    out = {}
+    for record in report.failures:
+        count, first = out.get(record["check"], (0, list(record.items())))
+        out[record["check"]] = (count + 1, first)
+    return out
+
+
+def test_mirror_failure_records(monkeypatch):
+    product, a0_matrix, three_tensor = bside.product, bside.a0_matrix, bside.three_tensor
+
+    def doubled_square(w, i, j):
+        coeff, target = product(w, i, j)
+        return (2 * coeff if i == j else coeff), target
+
+    def two_wrong_entries(w):
+        m = a0_matrix(w)
+        m[0][0] += 1
+        m[2][1] *= 3
+        return m
+
+    def one_wrong_tensor(w, j, k):
+        return three_tensor(w, j, k) + (1 if (j, k) == (2, 2) else 0)
+
+    monkeypatch.setattr(bside, "product", doubled_square)
+    monkeypatch.setattr(bside, "a0_matrix", two_wrong_entries)
+    monkeypatch.setattr(bside, "three_tensor", one_wrong_tensor)
+    w = Weights(1, 2, 3)
+
+    classical = check_classical(w)
+    assert classical.checks == 78
+    assert _by_check(classical) == {
+        "graded_product": (
+            3,
+            [
+                ("check", "graded_product"),
+                ("pair", (("0", 0), ("0", 0))),
+                ("indices", (0, 0)),
+                ("a_side", {0: "1"}),
+                ("b_side", {0: "2"}),
+            ],
+        ),
+    }
+
+    quantum = check_quantum(w)
+    assert quantum.checks == 87
+    assert _by_check(quantum) == {
+        "a0_transport": (
+            1,
+            [("check", "a0_transport"), ("detail", "P^T * A0_A * P != A0_B at Q=1")],
+        ),
+        "a0_entry": (
+            2,
+            [
+                ("check", "a0_entry"),
+                ("pair", (("0", 0), ("0", 0))),
+                ("indices", (0, 0)),
+                ("a_side", "0"),
+                ("b_side", "1"),
+            ],
+        ),
+        "three_point_tensor": (
+            1,
+            [
+                ("check", "three_point_tensor"),
+                ("pair", (("0", 2), ("0", 2))),
+                ("indices", (2, 2)),
+                ("a_side", "0"),
+                ("b_side", "1"),
+            ],
+        ),
+    }
+
+
+UNIT = [("check", "cup_unit"), ("cls", ("1/4", 0))]
+FROBENIUS = [("check", "cup_frobenius"), ("triple", (("0", 0), ("1/3", 0), ("2/3", 0)))]
+POWER_MU = [("check", "hyperplane_power_mu"), ("detail", "(eta_1^1)^mu != Q * prod w^-w")]
+
+
+@pytest.mark.parametrize(
+    "asymmetric, expected",
+    [
+        (
+            False,
+            {
+                "cup_unit": (9, [("check", "cup_unit"), ("cls", ("0", 0))]),
+                "cup_frobenius": (4, FROBENIUS),
+                "hyperplane_power_mu": (1, POWER_MU),
+                "hyperplane_power_kmin": (
+                    5,
+                    [("check", "hyperplane_power_kmin"), ("sector", "1/4")],
+                ),
+            },
+        ),
+        (
+            True,
+            {
+                "cup_unit": (6, UNIT),
+                "cup_commutative": (
+                    18,
+                    [("check", "cup_commutative"), ("pair", (("0", 0), ("1/4", 0)))],
+                ),
+                "cup_associative": (
+                    29,
+                    [
+                        ("check", "cup_associative"),
+                        ("triple", (("0", 0), ("0", 0), ("1/4", 0))),
+                    ],
+                ),
+                "cup_frobenius": (16, FROBENIUS),
+                "hyperplane_power_mu": (1, POWER_MU),
+                "hyperplane_power_kmin": (
+                    2,
+                    [("check", "hyperplane_power_kmin"), ("sector", "2/3")],
+                ),
+            },
+        ),
+    ],
+    ids=["extra_index", "extra_index_one_order"],
+)
+def test_selftest_failure_records(monkeypatch, asymmetric, expected):
+    # One extra obstruction index, below every cup product route; with
+    # ``asymmetric`` only for ``g0 < g1``, which also breaks commutativity.
+    obstruction_set = acohomology.obstruction_set
+
+    def with_extra_index(w, g0, g1, ginf):
+        extra = {len(w) - 1} if g0 < g1 or not asymmetric else set()
+        return obstruction_set(w, g0, g1, ginf) | extra
+
+    monkeypatch.setattr(acohomology, "obstruction_set", with_extra_index)
+    report = run_selftest(Weights(2, 3, 4))
+    assert report.checks == 3395
+    assert _by_check(report) == expected

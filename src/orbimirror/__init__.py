@@ -11,7 +11,6 @@ from .combinatorics import (
     age,
     fixed_indices,
     inverse_sector,
-    is_sector,
     k_min,
     s_sequence,
     sector_dim,
@@ -23,12 +22,9 @@ from .acohomology import (
     BasisClass,
     CohClass,
     a_infinity_matrix,
-    chern_total,
-    cup,
     cup_basis,
     degree,
     gram_matrix,
-    integral_top,
     obstruction_set,
     ordered_basis,
     pairing,
@@ -37,7 +33,7 @@ from .acohomology import (
 from .errors import InternalConsistencyError
 from .mirror import CheckReport, MirrorIndexMap, check_classical, check_quantum, mirror_index_map
 from .selftest import run_selftest
-from .wdvv import Potential, homogeneity_step, initial_coeffs, reconstruct, wdvv_residual
+from .wdvv import Potential, initial_coeffs, reconstruct, wdvv_residual
 
 __version__ = "0.1.0"
 
@@ -56,17 +52,12 @@ __all__ = [
     "age",
     "check_classical",
     "check_quantum",
-    "chern_total",
-    "cup",
     "cup_basis",
     "degree",
     "fixed_indices",
     "gram_matrix",
-    "homogeneity_step",
     "initial_coeffs",
-    "integral_top",
     "inverse_sector",
-    "is_sector",
     "k_min",
     "mirror_index_map",
     "obstruction_set",

@@ -8,8 +8,8 @@ arithmetic:
 * the ordered basis and the grading ``deg(eta_g^d) = 2 (d + age(g))``,
 * the Poincare pairing (perfect, block anti-diagonal in the sectors),
 * the obstruction index set of a triple of sectors multiplying to 1,
-* the cup product on basis classes and its bilinear extension,
-* the total Chern class data of the tangent bundle,
+* the cup product on basis classes,
+* the monomials ``c * Q^e * eta_g^d`` that the quantum action moves,
 * the grading matrix ``diag(deg / 2)``.
 
 The cup product of two basis classes is ``prod(w_i for i in K)`` times a
@@ -49,68 +49,24 @@ class BasisClass:
     d: int
 
 
+@dataclass(frozen=True)
 class CohClass:
-    """A finite sum ``c * Q^e * eta_g^d`` with exact rational ``c`` and ``e``.
+    """The monomial ``scalar * Q^qexp * eta_g^d`` with exact rational
+    ``scalar`` and ``qexp``.
 
     ``Q`` is the formal bookkeeping variable of the quantum corrections,
     weighted so that half-degree plus ``mu`` times the ``Q``-exponent is
-    preserved; classical classes simply have all ``e = 0``.  Terms with
-    zero scalar are pruned eagerly, so equality is structural.
+    preserved; classical classes have ``qexp = 0``.  The hyperplane action
+    sends a monomial to a monomial, so no sums are needed.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # terms: {(BasisClass, qexp): scalar}
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def zero(cls) -> "CohClass":
-        return cls()
+    bc: BasisClass
+    scalar: Fraction
+    qexp: Fraction
 
     @classmethod
     def line(cls, bc: BasisClass, scalar=1, qexp=0) -> "CohClass":
-        c = cls()
-        c.add_term(bc, scalar, qexp)
-        return c
-
-    def add_term(self, bc: BasisClass, scalar, qexp=0) -> None:
-        scalar = Fraction(scalar)
-        if not scalar:
-            return
-        key = (bc, Fraction(qexp))
-        new = self.terms.get(key, 0) + scalar
-        if new:
-            self.terms[key] = new
-        else:
-            del self.terms[key]
-
-    def items(self):
-        """Deterministic iteration: (BasisClass, qexp, scalar) sorted."""
-        for (bc, qexp), scalar in sorted(self.terms.items()):
-            yield bc, qexp, scalar
-
-    def at_q1(self) -> dict[BasisClass, Fraction]:
-        """Specialize ``Q = 1``: collapse each basis coefficient to a rational."""
-        out: dict[BasisClass, Fraction] = {}
-        for (bc, _), scalar in self.terms.items():
-            out[bc] = out.get(bc, 0) + scalar
-        return {bc: total for bc, total in out.items() if total}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, CohClass) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "CohClass<0>"
-        parts = []
-        for bc, qexp, scalar in self.items():
-            q = f" Q^{qexp}" if qexp else ""
-            parts.append(f"{scalar}{q} eta[{bc.gamma}]^{bc.d}")
-        return "CohClass<" + " + ".join(parts) + ">"
+        return cls(bc, Fraction(scalar), Fraction(qexp))
 
 
 @lru_cache(maxsize=None)
@@ -139,11 +95,6 @@ def basis_index(w: Weights) -> MappingProxyType:
 def degree(w: Weights, c: BasisClass) -> Fraction:
     """Orbifold degree ``2 (d + age(g))`` of a basis class."""
     return 2 * (c.d + sector_table(w)[c.gamma].age)
-
-
-def integral_top(w: Weights) -> Fraction:
-    """The integral of the top untwisted power: ``prod(1 / w_i)``."""
-    return sector_table(w)[Fraction(0)].inv_weight_product
 
 
 def pairing(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
@@ -213,36 +164,9 @@ def cup_basis(
     return Fraction(math.prod(w[i] for i in k)), BasisClass(g, int(d))
 
 
-def cup(w: Weights, a: CohClass, b: CohClass) -> CohClass:
-    """Bilinear extension of :func:`cup_basis` (Q-monomials multiply)."""
-    out = CohClass.zero()
-    for bc_a, qa, ca in a.items():
-        for bc_b, qb, cb in b.items():
-            coeff, target = cup_basis(w, bc_a, bc_b)
-            if target is not None:
-                out.add_term(target, ca * cb * coeff, qa + qb)
-    return out
-
-
 def unit(w: Weights) -> CohClass:
     """The unit class ``eta_1^0``."""
     return CohClass.line(BasisClass(Fraction(0), 0))
-
-
-def chern_total(w: Weights) -> tuple[int, ...]:
-    """Coefficients of the total Chern class in powers of the hyperplane class.
-
-    Expands ``prod(1 + w_i h)`` and truncates at ``h^(n+1) = 0``; the
-    returned tuple has ``n + 1`` integer entries, entry 1 being ``mu``.
-    """
-    coeffs = [1]
-    for wi in w:
-        nxt = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c
-            nxt[k + 1] += c * wi
-        coeffs = nxt
-    return tuple(coeffs[: w.n + 1])
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Degree-one quantum data on the A side.
 
 Multiplication by the hyperplane class ``eta_1^1`` in the small quantum
-ring is the only product needed to pin down the initial conditions: acting
-on a basis class it either shifts the hyperplane power inside a sector
-(classically) or, on a sector's top power, jumps to the next sector in the
-circle order while picking up a ``Q`` monomial:
+ring is the only product needed to pin down the initial conditions.  It
+sends each monomial ``c * Q^e * eta_h^d`` to one monomial: it either shifts
+the hyperplane power inside a sector (classically) or, on a sector's top
+power, jumps to the next sector in the circle order while picking up a
+``Q`` monomial:
 
     eta_1^1 * eta_{h}^{dim(h)} =
         (prod_{i in I(h)} 1/w_i) * Q^{gamma(next) - gamma(prev)} * eta_{next^{-1}}^0
@@ -25,6 +26,7 @@ surviving values are products of inverse weights over fixed-index sets.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from fractions import Fraction
@@ -48,41 +50,31 @@ from .errors import InternalConsistencyError
 from .linalg import Matrix, zeros
 
 
+_HYPERPLANE = BasisClass(Fraction(0), 1)
+
+
 class TripleKind(enum.Enum):
     VANISHING = "VANISHING"
     CLASSICAL = "CLASSICAL"
     QUANTUM = "QUANTUM"
 
 
-def expected_curve_degree(
-    w: Weights, g: Sector, d: int, g2: Sector, d2: int
-) -> Fraction:
-    """``mu`` times the hyperplane degree of the unique curve class that can
-    support the invariant ``(eta_1^1, eta_g^d, eta_g2^d2)``:
-    ``1 + deg/2 + deg'/2 - n``.
-    """
-    a = BasisClass(g, d)
-    b = BasisClass(g2, d2)
-    return 1 + degree(w, a) / 2 + degree(w, b) / 2 - w.n
-
-
 def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> TripleKind:
     """Sort the triple ``(eta_1^1, eta_g^d, eta_g2^d2)`` into its case.
 
-    The classifier is ``t = 1 + deg/2 + deg'/2 - n + mu*(gamma(g^-1) +
-    gamma(g2^-1))``, always an exact integer.  The invariant vanishes unless
-    ``t = 0 mod mu``; among the survivors the degree-0 (classical) ones are
-    exactly those with ``2 + deg + deg' = 2n``.
+    ``e = 1 + deg/2 + deg'/2 - n`` is ``mu`` times the hyperplane degree of
+    the one curve class that can support the invariant.  The classifier
+    ``t = e + mu*(gamma(g^-1) + gamma(g2^-1))`` is always an exact integer.
+    The invariant vanishes unless ``t = 0 mod mu``; among the survivors the
+    degree-0 (classical) ones are exactly those with ``e = 0``.
     """
-    t = expected_curve_degree(w, g, d, g2, d2) + w.mu * (
-        inverse_sector(g) + inverse_sector(g2)
-    )
+    e = 1 + (degree(w, BasisClass(g, d)) + degree(w, BasisClass(g2, d2))) / 2 - w.n
+    t = e + w.mu * (inverse_sector(g) + inverse_sector(g2))
     if t.denominator != 1:
         raise InternalConsistencyError(f"classifier {t} is not an integer")
     if int(t) % w.mu != 0:
         return TripleKind.VANISHING
-    deg_sum = 2 + degree(w, BasisClass(g, d)) + degree(w, BasisClass(g2, d2))
-    if deg_sum == 2 * w.n:
+    if e == 0:
         return TripleKind.CLASSICAL
     return TripleKind.QUANTUM
 
@@ -116,37 +108,28 @@ def sector_constant(w: Weights, g: Sector) -> Fraction:
 
 
 def hyperplane_quantum_mult(w: Weights, c: CohClass) -> CohClass:
-    """Small quantum multiplication by ``eta_1^1`` at the origin.
+    """Small quantum multiplication of a monomial by ``eta_1^1`` at the origin.
 
     Below a sector's top power this is the classical cup shift; on the top
     power it jumps to the next sector with the ``Q`` monomial described in
     the module docstring.
     """
     table = sector_table(w)
+    sector = table[c.bc.gamma]
+    if c.bc.d < sector.dim:
+        coeff, target = cup_basis(w, _HYPERPLANE, c.bc)
+        return CohClass(target, c.scalar * coeff, c.qexp)
+    prev = sector.inverse
     secs = sectors(w)
-    pos = {g: i for i, g in enumerate(secs)}
-    out = CohClass.zero()
-    hyper = BasisClass(Fraction(0), 1)
-    for bc, qexp, scalar in c.items():
-        sector = table[bc.gamma]
-        if bc.d < sector.dim:
-            coeff, target = cup_basis(w, hyper, bc)
-            out.add_term(target, scalar * coeff, qexp)
-            continue
-        prev = sector.inverse
-        p = pos[prev]
-        if p + 1 < len(secs):
-            nxt = secs[p + 1]
-            jump = nxt - prev
-        else:
-            nxt = secs[0]
-            jump = 1 - prev
-        out.add_term(
-            BasisClass(inverse_sector(nxt), 0),
-            scalar * table[prev].inv_weight_product,
-            qexp + jump,
-        )
-    return out
+    # The sector after ``prev`` in the circle order; past the last one the
+    # rotation number wraps through 1 back to the identity.
+    after = bisect.bisect_right(secs, prev)
+    nxt = secs[after] if after < len(secs) else Fraction(1)
+    return CohClass(
+        BasisClass(inverse_sector(nxt), 0),
+        c.scalar * table[prev].inv_weight_product,
+        c.qexp + nxt - prev,
+    )
 
 
 def a0_matrix(w: Weights) -> Matrix:
@@ -154,12 +137,9 @@ def a0_matrix(w: Weights) -> Matrix:
 
     Columns are indexed by the source basis element.
     """
-    basis = ordered_basis(w)
     index = basis_index(w)
     m = zeros(w.mu)
-    for col, bc in enumerate(basis):
+    for col, bc in enumerate(ordered_basis(w)):
         image = hyperplane_quantum_mult(w, CohClass.line(bc))
-        for target, value in image.at_q1().items():
-            m[index[target]][col] += w.mu * value
+        m[index[image.bc]][col] = w.mu * image.scalar
     return m
-

@@ -208,10 +208,12 @@ def _smallqc(cfg: RunConfig):
     products = []
     for bc in ordered_basis(w):
         image = aquantum.hyperplane_quantum_mult(w, CohClass.line(bc))
-        products += [
-            {"src": _elem(bc), "c": _r(scalar), "q": _r(qexp), "dst": _elem(target)}
-            for target, qexp, scalar in image.items()
-        ]
+        products.append({
+            "src": _elem(bc),
+            "c": _r(image.scalar),
+            "q": _r(image.qexp),
+            "dst": _elem(image.bc),
+        })
     header = ("src_gamma", "src_d", "c", "q", "dst_gamma", "dst_d")
     payload = {
         "mu": w.mu,

@@ -110,11 +110,6 @@ def sectors(w: Weights) -> tuple[Sector, ...]:
     return tuple(sorted(vals))
 
 
-def is_sector(w: Weights, g: Fraction) -> bool:
-    """Whether ``g`` in [0,1) has order dividing one of the weights."""
-    return 0 <= g < 1 and any(wi % g.denominator == 0 for wi in w)
-
-
 def fixed_indices(w: Weights, g: Sector) -> frozenset[int]:
     """Indices of the coordinates fixed by the sector: ``{i : g * w_i integer}``."""
     return frozenset(i for i, wi in enumerate(w) if (g * wi).denominator == 1)

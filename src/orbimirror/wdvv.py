@@ -121,7 +121,7 @@ class Potential:
 def _multi_index(alpha, mu: int) -> MultiIndex:
     """``alpha`` as a tuple, or ``ValueError`` unless it lies in N^mu."""
     alpha = tuple(alpha)
-    if len(alpha) != mu or min(alpha) < 0:
+    if len(alpha) != mu or not all(isinstance(x, int) and x >= 0 for x in alpha):
         raise ValueError(f"multi-index {alpha} is not in N^{mu}")
     return alpha
 
@@ -323,14 +323,6 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     return Potential(weights=w, max_length=max_length, coeffs=coeffs)
 
 
-def homogeneity_step(p: Potential, alpha: MultiIndex) -> Fraction:
-    """``A(alpha + e_1)`` from ``A(alpha)`` by the scaling identity."""
-    alpha = tuple(alpha)
-    if sum(alpha) < 3:
-        raise ValueError("the scaling identity needs |alpha| >= 3")
-    return p.coeff(alpha) * scaling_weight(p.weights, alpha) / p.weights.mu
-
-
 def wdvv_residual(
     p: Potential, i: int, j: int, k: int, l: int, alpha: MultiIndex
 ) -> Fraction:
@@ -342,13 +334,16 @@ def wdvv_residual(
     selection rule, so a sweep can still catch a wrong coefficient on either
     side of it.
 
-    Raises ``ValueError`` if an index is outside ``[0, mu)``, if ``alpha``
-    is not in N^mu, or if the potential is too shallow to evaluate it.
+    Raises ``ValueError`` if an index is not an integer in ``[0, mu)``, if
+    ``alpha`` is not in N^mu, or if the potential is too shallow to evaluate
+    it.
     """
     mu = p.weights.mu
     alpha = _multi_index(alpha, mu)
-    if not all(0 <= x < mu for x in (i, j, k, l)):
-        raise ValueError(f"equation ({i},{j},{k},{l}) has an index outside [0, {mu})")
+    if not all(isinstance(x, int) and 0 <= x < mu for x in (i, j, k, l)):
+        raise ValueError(
+            f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
+        )
     if sum(alpha) + 3 > p.max_length:
         raise ValueError(
             f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "

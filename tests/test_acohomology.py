@@ -1,20 +1,17 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from orbimirror import (
     BasisClass,
-    CohClass,
     Weights,
     a_infinity_matrix,
-    chern_total,
-    cup,
     cup_basis,
     degree,
     gram_matrix,
-    integral_top,
     obstruction_set,
     ordered_basis,
     pairing,
@@ -62,16 +59,13 @@ def test_degree_examples():
     assert degree(Weights(1, 2), bc((1, 2), 0)) == 1
 
 
-def test_integral_top():
-    assert integral_top(Weights(1, 1, 1)) == 1
-    assert integral_top(Weights(1, 2, 2, 3, 3, 3)) == F(1, 108)
-    assert integral_top(Weights(1, 2)) == F(1, 2)
-
-
 def test_pairing_examples():
     w = Weights(1, 2, 2, 3, 3, 3)
     assert pairing(w, bc((1, 3), 0), bc((2, 3), 2)) == F(1, 27)
-    assert pairing(w, bc(0, 0), bc(0, 5)) == integral_top(w)
+    # The integral of the top untwisted power is prod(1 / w_i).
+    for wt in ((1, 1, 1), (1, 2, 2, 3, 3, 3), (1, 2)):
+        top = Weights(wt)
+        assert pairing(top, bc(0, 0), bc(0, top.n)) == F(1, math.prod(wt))
     assert pairing(Weights(1, 2), bc((1, 2), 0), bc((1, 2), 0)) == F(1, 2)
     # degree mismatch and sector mismatch both vanish
     assert pairing(w, bc((1, 3), 0), bc((2, 3), 1)) == 0
@@ -114,17 +108,6 @@ def test_cup_examples():
     assert cup_basis(w, bc((1, 3), 0), bc((1, 2), 0)) == (F(0), None)
 
 
-def test_cup_bilinear_with_q_monomials():
-    w = Weights(1, 2)
-    a = CohClass.line(bc(0, 1), F(2), F(1, 2))
-    b = CohClass.line(bc((1, 2), 0), F(3, 4))
-    out = cup(w, a, b)
-    # eta_1^1 cup eta_{1/2}^0 = 0 (exponent overflow): bilinearity gives zero
-    assert not out
-    c = cup(w, a, CohClass.line(bc(0, 0), F(1), F(1, 2)))
-    assert c == CohClass.line(bc(0, 1), F(2), F(1))
-
-
 def test_untwisted_block_is_truncated_polynomial_ring(suite_weights):
     w = suite_weights
     for a in range(w.n + 1):
@@ -138,11 +121,9 @@ def test_untwisted_block_is_truncated_polynomial_ring(suite_weights):
 
 def test_cup_unit_and_commutative(suite_weights):
     w = suite_weights
-    one = unit(w)
+    one = unit(w).bc
     for a in ordered_basis(w):
-        ca = CohClass.line(a)
-        assert cup(w, one, ca) == ca
-        assert cup(w, ca, one) == ca
+        assert cup_basis(w, one, a) == cup_basis(w, a, one) == (1, a)
         for b in ordered_basis(w):
             assert cup_basis(w, a, b) == cup_basis(w, b, a)
 
@@ -159,29 +140,28 @@ def test_cup_degree_additive(suite_weights):
 def test_cup_associative_and_frobenius(suite_weights):
     w = suite_weights
     basis = ordered_basis(w)
-    index = {c: i for i, c in enumerate(basis)}
+    index = basis_index(w)
     gram = gram_matrix(w)
+    table = {(a, b): cup_basis(w, a, b) for a in basis for b in basis}
 
-    def pair(x: CohClass, c: BasisClass) -> F:
-        return sum(
-            (s * gram[index[t]][index[c]] for t, _, s in x.items()), F(0)
-        )
+    def times(coeff, a, b):
+        """``coeff * (a cup b)`` as a pair, ``(0, None)`` for zero."""
+        if a is None or b is None:
+            return 0, None
+        k, target = table[a, b]
+        return coeff * k, target
+
+    def pair(x, c):
+        coeff, target = x
+        return 0 if target is None else coeff * gram[index[target]][index[c]]
 
     for a in basis:
-        ca = CohClass.line(a)
         for b in basis:
-            ab = cup(w, ca, CohClass.line(b))
+            ab = table[a, b]
             for c in basis:
-                cc = CohClass.line(c)
-                assert cup(w, ab, cc) == cup(w, ca, cup(w, CohClass.line(b), cc))
-                assert pair(ab, c) == pair(cup(w, CohClass.line(b), cc), a)
-
-
-def test_chern_total_examples():
-    assert chern_total(Weights(1, 1, 1)) == (1, 3, 3)
-    assert chern_total(Weights(1, 2)) == (1, 3)
-    w = Weights(1, 2, 2, 3, 3, 3)
-    assert chern_total(w)[1] == w.mu == 14
+                bc_ = table[b, c]
+                assert times(ab[0], ab[1], c) == times(bc_[0], a, bc_[1])
+                assert pair(ab, c) == pair(bc_, a)
 
 
 def test_a_infinity_examples():

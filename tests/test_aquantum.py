@@ -20,7 +20,6 @@ from orbimirror.aquantum import (
     TripleKind,
     a0_matrix,
     classify_triple,
-    expected_curve_degree,
     hyperplane_quantum_mult,
     sector_constant,
     three_point,
@@ -33,21 +32,21 @@ def bc(gamma, d=0):
     return BasisClass(g, d)
 
 
-def test_expected_curve_degree_examples():
-    assert expected_curve_degree(Weights(1, 1, 1), F(0), 1, F(0), 0) == 0
-    # 1 + deg/2 + deg'/2 - n = 1 + 1 + 1/2 - 1; the plain hyperplane degree
-    # of the curve class is this divided by mu (= 1/2 here).
-    assert expected_curve_degree(Weights(1, 2), F(0), 1, F(1, 2), 0) == F(3, 2)
-    assert expected_curve_degree(Weights(1, 1, 1), F(0), 2, F(0), 2) == 3
-
-
 def test_classify_triple_examples():
-    w = Weights(1, 2)
-    assert classify_triple(w, F(0), 0, F(0), 1) is TripleKind.VANISHING
-    assert classify_triple(w, F(0), 0, F(0), 0) is TripleKind.CLASSICAL
-    assert classify_triple(w, F(0), 1, F(0), 1) is TripleKind.VANISHING
-    assert classify_triple(w, F(0), 1, F(1, 2), 0) is TripleKind.QUANTUM
-    assert classify_triple(Weights(1, 1, 1), F(0), 2, F(0), 2) is TripleKind.QUANTUM
+    # e = 1 + deg/2 + deg'/2 - n is mu times the hyperplane degree of the
+    # curve class (1/2 for the quantum P(1, 2) case); e = 0 is classical.
+    cases = [
+        ((1, 2), bc(0, 0), bc(0, 1), 1, TripleKind.VANISHING),
+        ((1, 2), bc(0, 0), bc(0, 0), 0, TripleKind.CLASSICAL),
+        ((1, 2), bc(0, 1), bc(0, 1), 2, TripleKind.VANISHING),
+        ((1, 2), bc(0, 1), bc((1, 2), 0), F(3, 2), TripleKind.QUANTUM),
+        ((1, 1, 1), bc(0, 1), bc(0, 0), 0, TripleKind.CLASSICAL),
+        ((1, 1, 1), bc(0, 2), bc(0, 2), 3, TripleKind.QUANTUM),
+    ]
+    for wt, a, b, e, kind in cases:
+        w = Weights(wt)
+        assert 1 + (degree(w, a) + degree(w, b)) / 2 - w.n == e, (wt, a, b)
+        assert classify_triple(w, a.gamma, a.d, b.gamma, b.d) is kind, (wt, a, b)
 
 
 def test_classifier_is_integer(suite_weights):
@@ -136,11 +135,10 @@ def test_q_degree_bookkeeping(suite_weights):
     w = suite_weights
     for a in ordered_basis(w):
         image = hyperplane_quantum_mult(w, CohClass.line(a))
-        for target, qexp, scalar in image.items():
-            assert scalar != 0
-            before = degree(w, a) / 2
-            after = degree(w, target) / 2 + w.mu * qexp
-            assert after - before == 1, (w, a, target)
+        assert image.scalar != 0
+        before = degree(w, a) / 2
+        after = degree(w, image.bc) / 2 + w.mu * image.qexp
+        assert after - before == 1, (w, a, image)
 
 
 def test_q_exponent_denominators_divide_weight_lcm(suite_weights):
@@ -149,9 +147,8 @@ def test_q_exponent_denominators_divide_weight_lcm(suite_weights):
     power = unit(w)
     for _ in range(w.mu):
         power = hyperplane_quantum_mult(w, power)
-        for _, qexp, _ in power.items():
-            assert qexp >= 0
-            assert lcm % qexp.denominator == 0
+        assert power.qexp >= 0
+        assert lcm % power.qexp.denominator == 0
 
 
 def test_a0_matrix_examples():
@@ -175,12 +172,9 @@ def test_three_point_equals_pairing_with_quantum_product(suite_weights):
     index = {c: i for i, c in enumerate(basis)}
     gram = gram_matrix(w)
     for a in basis:
-        image = hyperplane_quantum_mult(w, CohClass.line(a)).at_q1()
+        image = hyperplane_quantum_mult(w, CohClass.line(a))
         for b in basis:
-            lhs = sum(
-                (scalar * gram[index[t]][index[b]] for t, scalar in image.items()),
-                F(0),
-            )
+            lhs = image.scalar * gram[index[image.bc]][index[b]]
             assert lhs == three_point(w, a.gamma, a.d, b.gamma, b.d), (w, a, b)
 
 

@@ -29,7 +29,7 @@ from orbimirror import (
 )
 from orbimirror.aquantum import a0_matrix, hyperplane_quantum_mult
 from orbimirror.bside import spectral_check
-from orbimirror.wdvv import homogeneity_step, scaling_weight
+from orbimirror.wdvv import scaling_weight
 
 POINTS = [(1,), (2,), (3,), (4,)]
 
@@ -87,7 +87,6 @@ def test_scaling_weight_zero_kills_next_coefficient():
     p = reconstruct(w, 5)
     assert p.coeff((2, 1)) == 1
     assert scaling_weight(w, (2, 1)) == 0
-    assert homogeneity_step(p, (2, 1)) == 0
     assert p.coeff((2, 2)) == 0
 
 

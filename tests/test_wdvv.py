@@ -10,7 +10,6 @@ from conftest import SUITE
 from orbimirror import (
     Potential,
     Weights,
-    homogeneity_step,
     initial_coeffs,
     mirror_index_map,
     ordered_basis,
@@ -109,22 +108,18 @@ def test_initial_coeffs_match_a_side_tensor(suite_weights):
 
 
 def test_homogeneity_step_examples():
-    w = Weights(1, 1)
-    p = reconstruct(w, 5)
-    assert homogeneity_step(p, (0, 3)) == 1
-    assert homogeneity_step(p, (0, 4)) == 1
+    # The scaling identity A(alpha + e_1) = d(alpha) * A(alpha) / mu.
+    def step(p, alpha):
+        return p.coeff(alpha) * scaling_weight(p.weights, alpha) / p.weights.mu
+
+    p = reconstruct(Weights(1, 1), 5)
+    assert step(p, (0, 3)) == p.coeff((0, 4)) == 1
+    assert step(p, (0, 4)) == p.coeff((0, 5)) == 1
     w3 = Weights(1, 1, 1)
     p3 = reconstruct(w3, 6)
     assert p3.coeff((0, 1, 2)) == 1
-    assert homogeneity_step(p3, (0, 1, 2)) == p3.coeff((0, 2, 2)) == 1
-    # d(alpha) = 0 forces the next coefficient to vanish
+    assert step(p3, (0, 1, 2)) == p3.coeff((0, 2, 2)) == 1
     assert scaling_weight(w3, (0, 1, 2)) == 3
-
-
-def test_homogeneity_step_rejects_short_indices():
-    p = reconstruct(Weights(1, 1), 4)
-    with pytest.raises(ValueError):
-        homogeneity_step(p, (0, 2))
 
 
 def test_p1_potential():
@@ -223,8 +218,18 @@ def test_residual_depth_guard():
         ((0, 0, 0, 0), (-1, 1, 1)),
         ((3, 0, 0, 0), (0, 0, 0)),
         ((0, 0, 0, -1), (0, 0, 0)),
+        ((0, 0, 0, 0), (0.5, 0.5, 0)),
+        ((0.5, 0, 0, 0), (0, 0, 0)),
     ],
-    ids=["alpha-short", "alpha-long", "alpha-negative", "index-mu", "index-minus-1"],
+    ids=[
+        "alpha-short",
+        "alpha-long",
+        "alpha-negative",
+        "index-mu",
+        "index-minus-1",
+        "alpha-non-integer",
+        "index-non-integer",
+    ],
 )
 def test_residual_rejects_malformed_input(eq, alpha):
     p = reconstruct(Weights(1, 1, 1), 5)
@@ -313,8 +318,8 @@ def test_coeff_range_guards():
 
 @pytest.mark.parametrize(
     "alpha",
-    [(0, 3), (0, 0, 3, 0), (-1, 2, 2)],
-    ids=["short", "long", "negative"],
+    [(0, 3), (0, 0, 3, 0), (-1, 2, 2), (0.5, 0.5, 2), (0, F(1), 2)],
+    ids=["short", "long", "negative", "non-integer", "fraction"],
 )
 def test_coeff_rejects_malformed_multi_index(alpha):
     p = reconstruct(Weights(1, 1, 1), 5)

@@ -59,13 +59,17 @@ def test_degree_examples():
     assert degree(Weights(1, 2), bc((1, 2), 0)) == 1
 
 
+def test_integral_top():
+    # The integral of the top untwisted power is prod(1 / w_i): it is the
+    # pairing of the unit with eta_0^n.
+    for wt, value in (((1, 1, 1), 1), ((1, 2, 2, 3, 3, 3), F(1, 108)), ((1, 2), F(1, 2))):
+        w = Weights(wt)
+        assert pairing(w, bc(0, 0), bc(0, w.n)) == value == F(1, math.prod(wt))
+
+
 def test_pairing_examples():
     w = Weights(1, 2, 2, 3, 3, 3)
     assert pairing(w, bc((1, 3), 0), bc((2, 3), 2)) == F(1, 27)
-    # The integral of the top untwisted power is prod(1 / w_i).
-    for wt in ((1, 1, 1), (1, 2, 2, 3, 3, 3), (1, 2)):
-        top = Weights(wt)
-        assert pairing(top, bc(0, 0), bc(0, top.n)) == F(1, math.prod(wt))
     assert pairing(Weights(1, 2), bc((1, 2), 0), bc((1, 2), 0)) == F(1, 2)
     # degree mismatch and sector mismatch both vanish
     assert pairing(w, bc((1, 3), 0), bc((2, 3), 1)) == 0

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import SectorData, Weights, s_sequence, sector_table, spectrum
-from .linalg import Matrix, char_poly, zeros
+from .linalg import Matrix, zeros
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,3 @@ def a0_matrix(w: Weights) -> Matrix:
             m[row][j] = mu * secs[j].inv_weight_product
     return m
 
-
-def spectral_check(w: Weights) -> tuple[bool, list[Fraction]]:
-    """Verify the characteristic polynomial of :func:`a0_matrix` equals
-    ``X^mu - mu^mu * prod w_i^{-w_i}``; returns (ok, coefficients low-first).
-    """
-    mu = w.mu
-    coeffs = char_poly(a0_matrix(w))
-    denom = 1
-    for wi in w:
-        denom *= wi**wi
-    expected = [Fraction(0)] * (mu + 1)
-    expected[mu] = Fraction(1)
-    expected[0] = -Fraction(mu**mu, denom)
-    return coeffs == expected, coeffs

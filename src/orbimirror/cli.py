@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import aquantum, bside, wdvv
@@ -36,16 +35,6 @@ from .selftest import run_selftest
 DEFAULT_MU_CAP = 64
 DEFAULT_MAX_LENGTH_CAP = 16
 MAX_WEIGHT = 10**6
-
-
-@dataclass
-class RunConfig:
-    command: str
-    weights: Weights
-    fmt: str = "json"
-    max_length: int = 6
-    output: str | None = None
-    unsafe_large: bool = False
 
 
 class UsageError(Exception):
@@ -75,7 +64,8 @@ def _parse_weights(text: str) -> Weights:
     return Weights(values)
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line, with ``weights`` parsed to :class:`Weights`."""
     parser = _Parser(
         prog="orbimirror",
         description=(
@@ -92,17 +82,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         p.add_argument("--unsafe-large", action="store_true", help="lift the mu and depth caps")
         if name == "reconstruct":
             p.add_argument("--max-length", type=int, default=6)
-    ns = parser.parse_args(argv)
-    weights = _parse_weights(ns.weights)
-    cfg = RunConfig(
-        command=ns.command,
-        weights=weights,
-        fmt=ns.format,
-        output=ns.output,
-        unsafe_large=ns.unsafe_large,
-    )
-    if ns.command == "reconstruct":
-        cfg.max_length = ns.max_length
+    cfg = parser.parse_args(argv)
+    cfg.weights = _parse_weights(cfg.weights)
+    if cfg.command == "reconstruct":
         if cfg.max_length < 3:
             raise UsageError("--max-length must be at least 3")
         if cfg.max_length > DEFAULT_MAX_LENGTH_CAP and not cfg.unsafe_large:
@@ -110,14 +92,10 @@ def parse_args(argv: list[str]) -> RunConfig:
                 f"--max-length {cfg.max_length} exceeds the cap "
                 f"{DEFAULT_MAX_LENGTH_CAP}; pass --unsafe-large to override"
             )
-    try:
-        mu_cap = int(os.environ.get("ORBIMIRROR_MAX_MU", DEFAULT_MU_CAP))
-    except ValueError:
-        raise UsageError("ORBIMIRROR_MAX_MU must be an integer") from None
-    if weights.mu > mu_cap and not cfg.unsafe_large:
+    if cfg.weights.mu > DEFAULT_MU_CAP and not cfg.unsafe_large:
         raise UsageError(
-            f"mu={weights.mu} exceeds the cap {mu_cap} "
-            "(set ORBIMIRROR_MAX_MU or pass --unsafe-large)"
+            f"mu={cfg.weights.mu} exceeds the cap {DEFAULT_MU_CAP}; "
+            "pass --unsafe-large to override"
         )
     return cfg
 
@@ -164,7 +142,7 @@ def _report_rows(*reports: CheckReport) -> list[tuple]:
 # header first).  A payload whose "status" is FAIL exits with 1.
 
 
-def _basis(cfg: RunConfig):
+def _basis(cfg: argparse.Namespace):
     w = cfg.weights
     items = [
         {"gamma": _r(bc.gamma), "d": bc.d, "degree": _r(degree(w, bc))}
@@ -173,7 +151,7 @@ def _basis(cfg: RunConfig):
     return {"mu": w.mu, "basis": items}, [("gamma", "d", "degree"), *map(_cells, items)]
 
 
-def _cup(cfg: RunConfig):
+def _cup(cfg: argparse.Namespace):
     w = cfg.weights
     basis = ordered_basis(w)
     table = []
@@ -195,7 +173,7 @@ def _cup(cfg: RunConfig):
     return {"table": table}, [header, *rows]
 
 
-def _pairing(cfg: RunConfig):
+def _pairing(cfg: argparse.Namespace):
     gram = gram_matrix(cfg.weights)
     rows = [("row", "col", "value")] + [
         (str(i), str(j), _r(x)) for i, row in enumerate(gram) for j, x in enumerate(row)
@@ -203,7 +181,7 @@ def _pairing(cfg: RunConfig):
     return {"mu": cfg.weights.mu, "matrix": _flat(gram)}, rows
 
 
-def _smallqc(cfg: RunConfig):
+def _smallqc(cfg: argparse.Namespace):
     w = cfg.weights
     products = []
     for bc in ordered_basis(w):
@@ -223,7 +201,7 @@ def _smallqc(cfg: RunConfig):
     return payload, [header, *map(_cells, products)]
 
 
-def _bside(cfg: RunConfig):
+def _bside(cfg: argparse.Namespace):
     w = cfg.weights
     a0 = bside.a0_matrix(w)
     fields = {
@@ -239,7 +217,7 @@ def _bside(cfg: RunConfig):
     return {"mu": w.mu, **fields}, rows
 
 
-def _mirror(cfg: RunConfig):
+def _mirror(cfg: argparse.Namespace):
     classical = check_classical(cfg.weights)
     quantum = check_quantum(cfg.weights)
     payload = {
@@ -250,7 +228,7 @@ def _mirror(cfg: RunConfig):
     return payload, _report_rows(classical, quantum)
 
 
-def _reconstruct(cfg: RunConfig):
+def _reconstruct(cfg: argparse.Namespace):
     potential = wdvv.reconstruct(cfg.weights, cfg.max_length)
     coeffs = [
         {"alpha": list(alpha), "A": _r(value)}
@@ -260,7 +238,7 @@ def _reconstruct(cfg: RunConfig):
     return {"max_length": cfg.max_length, "coefficients": coeffs}, rows
 
 
-def _selftest(cfg: RunConfig):
+def _selftest(cfg: argparse.Namespace):
     report = run_selftest(cfg.weights)
     return _report_payload(report), _report_rows(report)
 
@@ -277,7 +255,7 @@ COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     try:
         body, rows = COMMANDS[cfg.command](cfg)
     except InternalConsistencyError as exc:
@@ -286,7 +264,7 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         text = json.dumps({"weights": list(cfg.weights.w), **body}, indent=2) + "\n"
     else:
         text = "".join("\t".join(row) + "\n" for row in rows)

@@ -1,11 +1,16 @@
 """Exhaustive exact invariant suite for one weight vector.
 
 Runs every structural identity the two sides must satisfy: basis count,
-grading self-adjointness, cup associativity / commutativity / Frobenius
-symmetry / unit / degree additivity, B-product associativity and Frobenius
-symmetry, tie-invariance of all B-side outputs, and the three index
-identities tying ``k_min``, the spectrum and the basis degrees together.
-Everything is checked for every element (or pair, or triple), not sampled.
+grading self-adjointness, the ring laws of the cup and the B product,
+the cup unit and degree additivity, tie-invariance of all B-side outputs,
+the three index identities tying ``k_min``, the spectrum and the basis
+degrees together, and the hyperplane power relations.  Everything is
+checked for every element (or pair, or triple), not sampled.
+
+The ring laws (commutativity, associativity and Frobenius symmetry
+``g(ab, c) = g(a, bc)``) are stated once, in :func:`_check_ring`, over a
+table of ``(coefficient, target position)`` pairs; the cup and the B
+product each build their table and call it.
 """
 
 from __future__ import annotations
@@ -76,6 +81,32 @@ def _check_grading_adjoint(w: Weights, report: CheckReport) -> None:
     report.expect(det(gram_matrix(w)) != 0, check="pairing_nondegenerate")
 
 
+def _check_ring(report: CheckReport, prods, metric, labels, names) -> None:
+    """Commutativity, associativity and Frobenius symmetry ``g(ab, c) =
+    g(a, bc)`` of a product table: ``prods[p][q]`` is ``(coeff, target
+    position)``, with ``(0, None)`` for zero.  ``names`` are the three check
+    names and ``labels`` name the positions in failure records."""
+    commutative, associative, frobenius = names
+    zero = (0, None)
+    for p, la in enumerate(labels):
+        for q, lb in enumerate(labels):
+            report.expect(prods[p][q] == prods[q][p], check=commutative, pair=(la, lb))
+            c_ab, ab = prods[p][q]
+            for r, lc in enumerate(labels):
+                c_bc, bc = prods[q][r]
+                c_left, left = zero if ab is None else prods[ab][r]
+                c_right, right = zero if bc is None else prods[p][bc]
+                triple = (la, lb, lc)
+                report.expect(
+                    (c_ab * c_left, left) == (c_bc * c_right, right),
+                    check=associative,
+                    triple=triple,
+                )
+                lhs = 0 if ab is None else c_ab * metric[ab][r]
+                rhs = 0 if bc is None else c_bc * metric[p][bc]
+                report.expect(lhs == rhs, check=frobenius, triple=triple)
+
+
 def _check_cup_ring(w: Weights, report: CheckReport) -> None:
     basis = ordered_basis(w)
     index = basis_index(w)
@@ -88,74 +119,40 @@ def _check_cup_ring(w: Weights, report: CheckReport) -> None:
             check="cup_unit",
             cls=labels[p],
         )
+    # Each product as (coeff, target position), with (0, None) for zero.
+    prods = [
+        [(0, None) if t is None or not c else (c, index[t]) for c, t in row]
+        for row in cups
+    ]
+    _check_ring(
+        report,
+        prods,
+        gram_matrix(w),
+        labels,
+        ("cup_commutative", "cup_associative", "cup_frobenius"),
+    )
     for p, a in enumerate(basis):
         for q, b in enumerate(basis):
-            coeff, target = cups[p][q]
-            report.expect(
-                (coeff, target) == cups[q][p],
-                check="cup_commutative",
-                pair=(labels[p], labels[q]),
-            )
+            target = cups[p][q][1]
             if target is not None:
                 report.expect(
                     degree(w, target) == degree(w, a) + degree(w, b),
                     check="cup_degree_additive",
                     pair=(labels[p], labels[q]),
                 )
-    # Each product as (coeff, target position), with (0, None) for zero.
-    zero = (0, None)
-    prods = [
-        [zero if t is None or not c else (c, index[t]) for c, t in row]
-        for row in cups
-    ]
-    gram = gram_matrix(w)
-    for p, la in enumerate(labels):
-        for q, lb in enumerate(labels):
-            c_ab, ab = prods[p][q]
-            for r, lc in enumerate(labels):
-                c_bc, bc = prods[q][r]
-                c_left, left = zero if ab is None else prods[ab][r]
-                c_right, right = zero if bc is None else prods[p][bc]
-                triple = (la, lb, lc)
-                report.expect(
-                    (c_ab * c_left, left) == (c_bc * c_right, right),
-                    check="cup_associative",
-                    triple=triple,
-                )
-                lhs = 0 if ab is None else c_ab * gram[ab][r]
-                rhs = 0 if bc is None else c_bc * gram[p][bc]
-                report.expect(lhs == rhs, check="cup_frobenius", triple=triple)
 
 
 def _check_b_ring(w: Weights, report: CheckReport) -> None:
     mu = w.mu
     prods = [[bside.product(w, i, j) for j in range(mu)] for i in range(mu)]
     metric = bside.metric_matrix(w)
-    for i in range(mu):
-        for j in range(mu):
-            cij, tij = prods[i][j]
-            report.expect(
-                (cij, tij) == prods[j][i], check="b_product_commutative", pair=(i, j)
-            )
-            for k in range(mu):
-                c1, t1 = prods[tij][k]
-                c2, t2 = prods[j][k]
-                c3, t3 = prods[i][t2]
-                report.expect(
-                    (cij * c1, t1) == (c2 * c3, t3),
-                    check="b_product_associative",
-                    triple=(i, j, k),
-                )
-    for i in range(mu):
-        for j in range(mu):
-            cij, tij = prods[i][j]
-            for k in range(mu):
-                cjk, tjk = prods[j][k]
-                report.expect(
-                    cij * metric[tij][k] == cjk * metric[tjk][i],
-                    check="b_frobenius_symmetric",
-                    triple=(i, j, k),
-                )
+    _check_ring(
+        report,
+        prods,
+        metric,
+        range(mu),
+        ("b_product_commutative", "b_product_associative", "b_frobenius_symmetric"),
+    )
     if mu > 1:
         for j in range(mu):
             c1j, t1j = prods[1][j]
@@ -202,6 +199,8 @@ def _check_index_identities(w: Weights, report: CheckReport) -> None:
     values = s_sequence(w).values
     sig = spectrum(w)
     mu = w.mu
+    # Each class eta_g^d with its B index k_min(g^-1) + d.
+    classes = []
     for g in sectors(w):
         closed = k_min(w, g)
         direct = values.index(g)
@@ -219,57 +218,46 @@ def _check_index_identities(w: Weights, report: CheckReport) -> None:
             sector=str(g),
         )
         for d in range(sector_dim(w, g) + 1):
+            k = k_min(w, ginv) + d
             report.expect(
-                sig[k_min(w, ginv) + d] == d + age(w, g),
+                sig[k] == d + age(w, g),
                 check="spectrum_matches_degree",
                 sector=str(g),
                 d=d,
             )
-    for g in sectors(w):
-        for d in range(sector_dim(w, g) + 1):
-            for g2 in sectors(w):
-                for d2 in range(sector_dim(w, g2) + 1):
-                    lhs = (
-                        k_min(w, inverse_sector(g))
-                        + d
-                        + k_min(w, inverse_sector(g2))
-                        + d2
-                    ) % mu == w.n % mu
-                    rhs = (
-                        g2 == inverse_sector(g) and d + d2 == sector_dim(w, g)
-                    )
-                    report.expect(
-                        lhs == rhs,
-                        check="dual_index_congruence",
-                        pair=((str(g), d), (str(g2), d2)),
-                    )
+            classes.append((g, d, k))
+    for g, d, k in classes:
+        partner = (inverse_sector(g), sector_dim(w, g) - d)
+        for g2, d2, k2 in classes:
+            report.expect(
+                ((k + k2) % mu == w.n % mu) == ((g2, d2) == partner),
+                check="dual_index_congruence",
+                pair=((str(g), d), (str(g2), d2)),
+            )
 
 
 def _check_quantum_relations(w: Weights, report: CheckReport) -> None:
-    mu = w.mu
-    power = unit(w)
-    for _ in range(mu):
-        power = aquantum.hyperplane_quantum_mult(w, power)
+    # powers[k] is (eta_1^1)^k, for k = 0..mu.
+    powers = [unit(w)]
+    for _ in range(w.mu):
+        powers.append(aquantum.hyperplane_quantum_mult(w, powers[-1]))
     denom = 1
     for wi in w:
         denom *= wi**wi
     expected = CohClass.line(BasisClass(Fraction(0), 0), Fraction(1, denom), 1)
     report.expect(
-        power == expected,
+        powers[w.mu] == expected,
         check="hyperplane_power_mu",
         detail="(eta_1^1)^mu != Q * prod w^-w",
     )
     for g in sectors(w):
         if g == 0:
             continue
-        power = unit(w)
-        for _ in range(k_min(w, g)):
-            power = aquantum.hyperplane_quantum_mult(w, power)
         expected = CohClass.line(
             BasisClass(inverse_sector(g), 0), aquantum.sector_constant(w, g), g
         )
         report.expect(
-            power == expected,
+            powers[k_min(w, g)] == expected,
             check="hyperplane_power_kmin",
             sector=str(g),
         )

@@ -39,8 +39,10 @@ Selection rule.  ``A(alpha) = 0`` unless ``alpha`` passes both of
   quantum parameter that ``t^alpha`` carries, and ``F`` has no negative
   powers of it.
 
-The solver never computes a coefficient the rule forces to zero: ``coeff``
-returns the zero at once, a chain stops at such a state, and of each
+The solver's memo is the potential: it starts as the nonzero cubic data,
+every coefficient solved is stored in it, and ``reconstruct`` returns its
+nonzero entries.  The solver never computes a coefficient the rule forces
+to zero: ``coeff`` returns the zero at once, a chain stops at such a state, and of each
 interior sum over ``a`` in an equation it keeps the one charge-compatible
 term.  ``wdvv_residual`` does not use the rule, so a residual sweep stays an
 independent check of the solver, and of the rule itself.
@@ -162,18 +164,17 @@ def _sub_indices(alpha: MultiIndex):
 class _Reconstructor:
     """Memoized coefficient solver; see the module docstring for the rules."""
 
-    def __init__(self, w: Weights, max_length: int):
+    def __init__(self, w: Weights):
         if w.mu < 2:
             raise ValueError("reconstruction needs mu >= 2")
-        if max_length < 3:
-            raise ValueError("max_length must be at least 3")
         self.w = w
         self.mu = w.mu
-        self.max_length = max_length
         self.dual, self.ginv = _metric_diagonal(w)
-        # A private dict: its .get is the hot path of every coefficient.
-        self.init3 = dict(initial_coeffs(w))
-        self.memo: dict[MultiIndex, Fraction] = {}
+        # Every coefficient solved so far, seeded with the nonzero cubic data.
+        zero = (0,) * w.mu
+        self.memo: dict[MultiIndex, Fraction] = {
+            _bump(zero, *triple): value for triple, value in initial_coeffs(w).items()
+        }
 
     # -- basic rules ------------------------------------------------------
 
@@ -185,19 +186,15 @@ class _Reconstructor:
         return scaling_weight(self.w, alpha) >= 0
 
     def coeff(self, key: MultiIndex) -> Fraction:
-        # The memo holds admissible keys only, so a hit needs no rule check.
+        # The memo holds admissible keys only (the nonzero cubic data passes
+        # the rule), so a hit needs no rule check.
         got = self.memo.get(key)
         if got is not None:
             return got
         if not self.admissible(key):
             return Fraction(0)
-        total = sum(key)
-        if total == 3:
-            triple = []
-            for idx, count in enumerate(key):
-                triple.extend([idx] * count)
-            value = self.init3.get(tuple(triple), Fraction(0))
-        elif key[0] >= 1:
+        if key[0] >= 1 or sum(key) == 3:
+            # The flat unit, or cubic data the seed holds no value for.
             value = Fraction(0)
         elif key[1] >= 1:
             prev = (key[0], key[1] - 1) + key[2:]
@@ -303,23 +300,14 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     >>> [p.coeff((0, k)) for k in range(3, 6)]
     [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
     """
-    rec = _Reconstructor(w, max_length)
-    mu = w.mu
-    coeffs: dict[MultiIndex, Fraction] = {}
-    for triple, value in rec.init3.items():
-        key = [0] * mu
-        for idx in triple:
-            key[idx] += 1
-        coeffs[tuple(key)] = value
+    rec = _Reconstructor(w)
+    if max_length < 3:
+        raise ValueError("max_length must be at least 3")
     for length in range(4, max_length + 1):
-        # Multi-indices with a unit slot are zero and never stored.
-        for tail in _compositions(length, mu - 1):
-            key = (0,) + tail
-            if not rec.admissible(key):
-                continue
-            value = rec.coeff(key)
-            if value:
-                coeffs[key] = value
+        # Multi-indices with a unit slot are zero and never walked.
+        for tail in _compositions(length, w.mu - 1):
+            rec.coeff((0,) + tail)
+    coeffs = {key: value for key, value in rec.memo.items() if value}
     return Potential(weights=w, max_length=max_length, coeffs=coeffs)
 
 

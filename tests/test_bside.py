@@ -9,7 +9,6 @@ from orbimirror.bside import (
     metric_matrix,
     omega_frame,
     product,
-    spectral_check,
     three_tensor,
 )
 from orbimirror.linalg import (
@@ -92,19 +91,6 @@ def test_a0_matrix_examples():
     }
     assert nonzero == {(1, 0): F(3), (2, 1): F(3, 2), (0, 2): F(3, 2)}
     assert char_poly(m) == [F(-27, 4), F(0), F(0), F(1)]
-
-
-def test_spectral_check(suite_weights):
-    ok, coeffs = spectral_check(suite_weights)
-    assert ok
-    assert coeffs[-1] == 1
-    assert all(c == 0 for c in coeffs[1:-1])
-
-
-def test_spectral_check_big_example():
-    ok, coeffs = spectral_check(Weights(1, 2, 2, 3, 3, 3))
-    assert ok
-    assert coeffs[0] == -F(14**14, 2**2 * 2**2 * 3**3 * 3**3 * 3**3)
 
 
 def test_product_associative_and_frobenius(suite_weights):

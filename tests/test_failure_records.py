@@ -148,3 +148,35 @@ def test_selftest_failure_records(monkeypatch, asymmetric, expected):
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == expected
+
+
+def test_b_ring_failure_records(monkeypatch):
+    # The B product doubled for ``i < j`` only: commutative, associative and
+    # Frobenius laws break, and so does the tensor that reads row 1.
+    product = bside.product
+
+    def doubled_upper(w, i, j):
+        coeff, target = product(w, i, j)
+        return (2 * coeff if i < j else coeff), target
+
+    monkeypatch.setattr(bside, "product", doubled_upper)
+    report = run_selftest(Weights(2, 3, 4))
+    assert report.checks == 3395
+    assert _by_check(report) == {
+        "b_product_commutative": (
+            72,
+            [("check", "b_product_commutative"), ("pair", (0, 1))],
+        ),
+        "b_product_associative": (
+            366,
+            [("check", "b_product_associative"), ("triple", (0, 0, 1))],
+        ),
+        "b_frobenius_symmetric": (
+            54,
+            [("check", "b_frobenius_symmetric"), ("triple", (0, 0, 2))],
+        ),
+        "three_tensor_matches_product": (
+            7,
+            [("check", "three_tensor_matches_product"), ("pair", (2, 8))],
+        ),
+    }

@@ -183,7 +183,7 @@ def test_selection_rule_on_cubic_data(suite_weights):
     # of the cubic data, and the degree rule reads sigma_i + sigma_j +
     # sigma_k >= n.
     w = suite_weights
-    rec = _Reconstructor(w, 3)
+    rec = _Reconstructor(w)
     sigma = spectrum(w)
     table = initial_coeffs(w)
     for i, j, k in itertools.combinations_with_replacement(range(w.mu), 3):

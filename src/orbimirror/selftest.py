@@ -219,8 +219,9 @@ def _check_index_identities(w: Weights, report: CheckReport) -> None:
         )
         for d in range(sector_dim(w, g) + 1):
             k = k_min(w, ginv) + d
+            # A wrong ``k_min`` can put ``k`` outside the spectrum.
             report.expect(
-                sig[k] == d + age(w, g),
+                0 <= k < mu and sig[k] == d + age(w, g),
                 check="spectrum_matches_degree",
                 sector=str(g),
                 d=d,
@@ -256,8 +257,9 @@ def _check_quantum_relations(w: Weights, report: CheckReport) -> None:
         expected = CohClass.line(
             BasisClass(inverse_sector(g), 0), aquantum.sector_constant(w, g), g
         )
+        k = k_min(w, g)
         report.expect(
-            powers[k_min(w, g)] == expected,
+            0 <= k < len(powers) and powers[k] == expected,
             check="hyperplane_power_kmin",
             sector=str(g),
         )

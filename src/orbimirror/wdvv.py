@@ -47,15 +47,34 @@ interior sum over ``a`` in an equation it keeps the one charge-compatible
 term.  ``wdvv_residual`` does not use the rule, so a residual sweep stays an
 independent check of the solver, and of the rule itself.
 
+Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
+``S(i, j, k, l) - S(j, k, i, l)``, where
+
+    ``S(x, y, c, d) = sum_{beta <= alpha} binom(alpha, beta)
+    sum_a F_xya(beta) g^{aa*} F_{a*cd}(alpha - beta)``
+
+and ``F_xyz(beta) = A(beta + e_x + e_y + e_z)`` is the coefficient of
+``t^beta / beta!`` in the third derivative.  On the first residual asked of
+it, a ``Potential`` files each stored nonzero coefficient under every third
+derivative it belongs to, keyed by base multi-index.  ``S`` at one ``alpha``
+is the contraction of that index with itself, a sparse table; each entry
+``S(x, y, c, d)`` is added to residual ``(x, y, c, d)`` and subtracted from
+residual ``(c, x, y, d)``, and the nonzero residuals are kept until a
+residual at another ``alpha`` is asked for.  The index is read off the zeros
+in the data, not off the selection rule: a stored coefficient the rule
+forbids still enters every residual it touches, so a sweep checks the rule
+as well as the solver.
+
 All arithmetic is exact; no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from types import MappingProxyType
 
@@ -64,6 +83,8 @@ from .combinatorics import Weights, spectrum
 from .errors import InternalConsistencyError
 
 MultiIndex = tuple[int, ...]
+Equation = tuple[int, int, int, int]
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -95,15 +116,22 @@ def scaling_weight(w: Weights, alpha: MultiIndex) -> Fraction:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Potential:
     """A truncated potential: every coefficient with ``3 <= |alpha| <=
     max_length`` is determined; absent keys in that range are exact zeros.
+
+    ``coeffs`` is a read-only copy of the mapping it is built from, so the
+    residual tables cached on the potential cannot go stale; a changed
+    potential is a new one (``dataclasses.replace``) with tables of its own.
     """
 
     weights: Weights
     max_length: int
-    coeffs: dict[MultiIndex, Fraction]
+    coeffs: Mapping[MultiIndex, Fraction]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
         alpha = _multi_index(alpha, self.weights.mu)
@@ -118,6 +146,10 @@ class Potential:
 
     def nonzero_items(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    @cached_property
+    def _residual_tables(self) -> _ResidualTables:
+        return _ResidualTables(self)
 
 
 def _multi_index(alpha, mu: int) -> MultiIndex:
@@ -307,8 +339,92 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
         # Multi-indices with a unit slot are zero and never walked.
         for tail in _compositions(length, w.mu - 1):
             rec.coeff((0,) + tail)
-    coeffs = {key: value for key, value in rec.memo.items() if value}
-    return Potential(weights=w, max_length=max_length, coeffs=coeffs)
+    # Drop the memoised zeros in place: ``Potential`` makes the one copy.
+    memo = rec.memo
+    for key in [key for key, value in memo.items() if not value]:
+        del memo[key]
+    return Potential(weights=w, max_length=max_length, coeffs=memo)
+
+
+def _third_derivatives(key: MultiIndex):
+    """Every ordered ``(x, y, z)`` with ``base = key - e_x - e_y - e_z`` in
+    N^mu, as ``(base, x, y, z)``: ``A(key)`` is ``F_xyz(base)``."""
+    rest = list(key)
+    for x, cx in enumerate(key):
+        if not cx:
+            continue
+        rest[x] -= 1
+        for y in range(len(rest)):
+            if not rest[y]:
+                continue
+            rest[y] -= 1
+            for z in range(len(rest)):
+                if rest[z]:
+                    rest[z] -= 1
+                    yield tuple(rest), x, y, z
+                    rest[z] += 1
+            rest[y] += 1
+        rest[x] += 1
+
+
+class _ResidualTables:
+    """The stored third derivatives of one potential, and the residuals of
+    the last ``alpha`` asked for (see the module docstring).
+
+    ``index[beta][x]`` lists ``(y, z, F_xyz(beta))`` for every stored nonzero
+    coefficient.  One table is kept at a time, so a sweep in alpha-major
+    order builds each table once in flat memory.
+    """
+
+    def __init__(self, p: Potential):
+        self.dual, self.ginv = _metric_diagonal(p.weights)
+        index: dict[MultiIndex, dict[int, list[tuple[int, int, Fraction]]]] = {}
+        for key, value in p.coeffs.items():
+            if value:
+                for base, x, y, z in _third_derivatives(key):
+                    index.setdefault(base, {}).setdefault(x, []).append((y, z, value))
+        self.index = index
+        self.alpha: MultiIndex | None = None
+        self.residuals: dict[Equation, Fraction] = {}
+
+    def at(self, alpha: MultiIndex) -> dict[Equation, Fraction]:
+        """``{(i, j, k, l): residual}`` at ``alpha``, nonzero entries only."""
+        if alpha != self.alpha:
+            residuals: dict[Equation, Fraction] = {}
+            # ``S(x, y, c, d)`` enters two residuals: ``(x, y, c, d)`` as the
+            # left sum and ``(c, x, y, d)`` as the right one.
+            for (x, y, c, d), value in self._contract(alpha).items():
+                residuals[x, y, c, d] = residuals.get((x, y, c, d), 0) + value
+                residuals[c, x, y, d] = residuals.get((c, x, y, d), 0) - value
+            self.residuals = {key: value for key, value in residuals.items() if value}
+            self.alpha = alpha
+        return self.residuals
+
+    def _contract(self, alpha: MultiIndex) -> dict[Equation, Fraction]:
+        """``{(x, y, c, d): S(x, y, c, d)}`` at ``alpha``, over the keys some
+        pair of stored terms reaches."""
+        index, dual, ginv = self.index, self.dual, self.ginv
+        table: dict[Equation, Fraction] = {}
+        for beta, left in index.items():
+            gamma = tuple(x - y for x, y in zip(alpha, beta))
+            right = index.get(gamma) if min(gamma) >= 0 else None
+            if right is None:
+                continue
+            binom = 1
+            for x, y in zip(alpha, beta):
+                if y:
+                    binom *= math.comb(x, y)
+            for a, firsts in left.items():
+                seconds = right.get(dual[a])
+                if seconds is None:
+                    continue
+                weight = binom * ginv[a]
+                for x, y, u in firsts:
+                    wu = weight * u
+                    for c, d, v in seconds:
+                        key = (x, y, c, d)
+                        table[key] = table.get(key, 0) + wu * v
+        return table
 
 
 def wdvv_residual(
@@ -317,41 +433,32 @@ def wdvv_residual(
     """Coefficient of ``t^alpha / alpha!`` in the associativity equation
     ``(i, j, k, l)``; exactly zero on a consistent potential.
 
-    Every sum over ``a`` runs over all of ``range(mu)``, where the solver
-    keeps only the charge-compatible term: this check does not use the
+    It reads ``S(i, j, k, l) - S(j, k, i, l)`` off the table of residuals at
+    ``alpha``, built from the contraction ``S`` of the stored nonzero
+    coefficients alone (see the module docstring).  Every ``a`` with a stored term enters, where the
+    solver keeps only the charge-compatible one: this check does not use the
     selection rule, so a sweep can still catch a wrong coefficient on either
-    side of it.
+    side of it.  Asking for the residuals in alpha-major order builds each
+    table once.
 
     Raises ``ValueError`` if an index is not an integer in ``[0, mu)``, if
     ``alpha`` is not in N^mu, or if the potential is too shallow to evaluate
     it.
     """
     mu = p.weights.mu
-    alpha = _multi_index(alpha, mu)
-    if not all(isinstance(x, int) and 0 <= x < mu for x in (i, j, k, l)):
-        raise ValueError(
-            f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
-        )
-    if sum(alpha) + 3 > p.max_length:
+    tables = p._residual_tables
+    # The last alpha's own tuple has passed the checks on alpha already.
+    checked = alpha is tables.alpha
+    if not checked:
+        alpha = _multi_index(alpha, mu)
+    for x in (i, j, k, l):
+        if not (isinstance(x, int) and 0 <= x < mu):
+            raise ValueError(
+                f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
+            )
+    if not checked and sum(alpha) + 3 > p.max_length:
         raise ValueError(
             f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
             f"potential has {p.max_length}"
         )
-    dual, ginv = _metric_diagonal(p.weights)
-    get = p.coeffs.get
-    zero = Fraction(0)
-    total = zero
-    for beta, binom in _sub_indices(alpha):
-        gamma = tuple(x - y for x, y in zip(alpha, beta))
-        for a in range(mu):
-            f1 = get(_bump(beta, i, j, a), zero)
-            if f1:
-                f2 = get(_bump(gamma, dual[a], k, l), zero)
-                if f2:
-                    total += binom * ginv[a] * f1 * f2
-            h1 = get(_bump(beta, j, k, a), zero)
-            if h1:
-                h2 = get(_bump(gamma, dual[a], i, l), zero)
-                if h2:
-                    total -= binom * ginv[a] * h1 * h2
-    return total
+    return tables.at(alpha).get((i, j, k, l), _ZERO)

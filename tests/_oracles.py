@@ -1,16 +1,21 @@
 """Independent oracles used by the tests.
 
 Nothing here touches the library's own code paths: the counts of rational
-plane curves come from the classical recursion, and the falling-factorial
-ratio below is an alternative route to the sector structure constants.
+plane curves come from the classical recursion, the falling-factorial
+ratio below is an alternative route to the sector structure constants, and
+the WDVV residual is summed term by term over every ``beta <= alpha`` and
+every ``a``, with no index of the stored coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from orbimirror import Weights, sector_dim, sectors
+from orbimirror.bside import metric_diagonal
 
 
 def kontsevich_numbers(dmax: int) -> dict[int, int]:
@@ -56,3 +61,49 @@ def sector_constant_ratio(w: Weights, g: Fraction) -> Fraction:
     for wi in w:
         den *= falling_factorial(g * wi, math.ceil(g * wi))
     return num / den
+
+
+@lru_cache(maxsize=None)
+def _inverse_metric(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The metric partner ``a*`` of each index ``a`` and ``g^{aa*}``."""
+    dual, entry = metric_diagonal(w)
+    return dual, tuple(1 / entry[b] for b in dual)
+
+
+def _bump(base, x: int, y: int, z: int) -> tuple[int, ...]:
+    """``base + e_x + e_y + e_z``."""
+    out = list(base)
+    out[x] += 1
+    out[y] += 1
+    out[z] += 1
+    return tuple(out)
+
+
+def wdvv_residual_reference(p, i: int, j: int, k: int, l: int, alpha) -> Fraction:
+    """Coefficient of ``t^alpha / alpha!`` in WDVV ``(i, j, k, l)``:
+
+        sum_{beta <= alpha} binom(alpha, beta) sum_a g^{aa*}
+            (F_ija(beta) F_{a*kl}(alpha - beta) - F_jka(beta) F_{a*il}(alpha - beta))
+
+    with ``F_xyz(beta) = A(beta + e_x + e_y + e_z)`` read from ``p.coeffs``,
+    over every ``beta`` and every ``a``.  No argument checks: the caller
+    passes a valid equation.
+    """
+    dual, ginv = _inverse_metric(p.weights)
+    get = p.coeffs.get
+    total = Fraction(0)
+    for beta in itertools.product(*(range(x + 1) for x in alpha)):
+        gamma = tuple(x - y for x, y in zip(alpha, beta))
+        binom = math.prod(math.comb(x, y) for x, y in zip(alpha, beta))
+        for a in range(len(alpha)):
+            f1 = get(_bump(beta, i, j, a))
+            if f1:
+                f2 = get(_bump(gamma, dual[a], k, l))
+                if f2:
+                    total += binom * ginv[a] * f1 * f2
+            h1 = get(_bump(beta, j, k, a))
+            if h1:
+                h2 = get(_bump(gamma, dual[a], i, l))
+                if h2:
+                    total -= binom * ginv[a] * h1 * h2
+    return total

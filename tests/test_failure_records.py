@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from orbimirror import Weights, acohomology, bside, check_classical, check_quantum
-from orbimirror import run_selftest
+from orbimirror import cli, run_selftest, selftest
 
 
 def _by_check(report) -> dict:
@@ -180,3 +180,53 @@ def test_b_ring_failure_records(monkeypatch):
             [("check", "three_tensor_matches_product"), ("pair", (2, 8))],
         ),
     }
+
+
+@pytest.mark.parametrize(
+    "wt, checks, expected",
+    [
+        (
+            (1, 2),
+            179,
+            {
+                "k_min_closed_form": 1,
+                "spectrum_matches_degree": 1,
+                "dual_index_congruence": 3,
+                "hyperplane_power_kmin": 1,
+            },
+        ),
+        (
+            (2, 3, 4),
+            3395,
+            {
+                "k_min_closed_form": 5,
+                "spectrum_matches_degree": 6,
+                "dual_index_congruence": 12,
+                "hyperplane_power_kmin": 5,
+            },
+        ),
+        (
+            (1, 2, 3),
+            1091,
+            {
+                "k_min_closed_form": 3,
+                "spectrum_matches_degree": 1,
+                "dual_index_congruence": 6,
+                "hyperplane_power_kmin": 3,
+            },
+        ),
+    ],
+    ids=["w1_2", "w2_3_4", "w1_2_3"],
+)
+def test_selftest_k_min_off_by_one(monkeypatch, capsys, wt, checks, expected):
+    # ``k_min`` one too high on every nontrivial sector sends some B indices
+    # past the spectrum: those checks fail instead of raising IndexError.
+    k_min = selftest.k_min
+    monkeypatch.setattr(selftest, "k_min", lambda w, g: k_min(w, g) + (g != 0))
+    report = run_selftest(Weights(wt))
+    assert report.status == "FAIL"
+    assert report.checks == checks
+    assert {check: count for check, (count, _) in _by_check(report).items()} == expected
+    code = cli.main(["selftest", "--weights", ",".join(map(str, wt))])
+    assert code == 1
+    assert capsys.readouterr().err == ""

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from _oracles import kontsevich_numbers
+from _oracles import kontsevich_numbers, wdvv_residual_reference
 from conftest import SUITE
 from orbimirror import (
     Potential,
@@ -30,18 +31,21 @@ def _passes_selection_rule(w, alpha):
     return charge % w.mu == (w.n + sum(alpha) - 3) % w.mu and degree >= 0
 
 
-def _nonzero_residuals(p, max_alpha):
-    """Every ``(i, j, k, l, alpha)`` with ``|alpha| <= max_alpha`` whose
-    residual is not zero."""
+def _nonzero_residuals(p, max_alpha, residual=wdvv_residual):
+    """``{(eq, alpha): value}`` for every ``(i, j, k, l, alpha)`` with
+    ``|alpha| <= max_alpha`` whose residual is not zero, in alpha-major
+    order."""
     mu = p.weights.mu
-    return [
-        (eq, alpha)
-        for total in range(max_alpha + 1)
-        for alpha in itertools.product(range(total + 1), repeat=mu)
-        if sum(alpha) == total
-        for eq in itertools.product(range(mu), repeat=4)
-        if wdvv_residual(p, *eq, alpha) != 0
-    ]
+    out = {}
+    for total in range(max_alpha + 1):
+        for alpha in itertools.product(range(total + 1), repeat=mu):
+            if sum(alpha) != total:
+                continue
+            for eq in itertools.product(range(mu), repeat=4):
+                value = residual(p, *eq, alpha)
+                if value != 0:
+                    out[eq, alpha] = value
+    return out
 
 
 def _assert_unit_axiom(p):
@@ -262,15 +266,74 @@ def test_residuals_vanish_small_sweep(suite_weights):
     assert not _nonzero_residuals(reconstruct(w, 6), 3), w
 
 
+SMALL_RANKS = [wt for wt in SUITE if sum(wt) <= 4]
+
+
+@pytest.mark.parametrize("wt", SMALL_RANKS, ids=lambda t: "w" + "_".join(map(str, t)))
+def test_residual_matches_reference(wt):
+    # Every residual at |alpha| <= 3, one by one: the table route and the
+    # term-by-term sum give the same exact value.
+    p = reconstruct(Weights(wt), 6)
+    mu = p.weights.mu
+    for total in range(4):
+        for alpha in itertools.product(range(total + 1), repeat=mu):
+            if sum(alpha) != total:
+                continue
+            for eq in itertools.product(range(mu), repeat=4):
+                got = wdvv_residual(p, *eq, alpha)
+                assert got == wdvv_residual_reference(p, *eq, alpha), (wt, eq, alpha)
+
+
+@pytest.mark.parametrize("wt", [(1, 1, 1), (2, 3)], ids=["w1_1_1", "w2_3"])
+@pytest.mark.parametrize("fault", ["plus_one", "deleted"])
+def test_residual_faults_match_reference(wt, fault):
+    # One coefficient at a time is raised by 1 or deleted; both routes
+    # report the same nonzero residuals, and at least one.
+    p = reconstruct(Weights(wt), 5)
+    for key in p.coeffs:
+        coeffs = dict(p.coeffs)
+        if fault == "plus_one":
+            coeffs[key] += 1
+        else:
+            del coeffs[key]
+        broken = dataclasses.replace(p, coeffs=coeffs)
+        got = _nonzero_residuals(broken, 2)
+        assert got, (wt, key)
+        assert got == _nonzero_residuals(broken, 2, wdvv_residual_reference), (wt, key)
+
+
+def test_potential_is_read_only():
+    w = Weights(2, 3)
+    p = reconstruct(w, 5)
+    key = next(iter(p.coeffs))
+    with pytest.raises(TypeError):
+        p.coeffs[key] = F(7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.coeffs = {}
+    # A hand-built potential keeps its own copy of the dict.
+    source = dict(p.coeffs)
+    hand = Potential(w, 5, source)
+    source[key] += 1
+    assert hand == p
+    # A sweep caches tables on ``p``; a replaced potential builds its own.
+    assert not _nonzero_residuals(p, 2)
+    wrong = dict(p.coeffs)
+    wrong[key] += 1
+    assert _nonzero_residuals(dataclasses.replace(p, coeffs=wrong), 2)
+    assert not _nonzero_residuals(p, 2)
+
+
 @pytest.mark.parametrize(
     "wt",
     [(2, 4), (3, 3), (1, 2, 3), (4, 6), (2, 3, 5), (1, 2, 3, 4)],
     ids=lambda t: "w" + "_".join(map(str, t)),
 )
 def test_residuals_vanish_to_mu_10(wt):
-    # Every (i, j, k, l) in [0, mu)^4 at |alpha| <= 1: 357,216 residuals over
-    # the suite members with 5 < mu <= 10.
-    assert not _nonzero_residuals(reconstruct(Weights(wt), 4), 1), wt
+    # Every (i, j, k, l) in [0, mu)^4 at |alpha| <= 3 for mu = 6 and at
+    # |alpha| <= 2 for mu = 10: 2,306,592 residuals over the suite members
+    # with 5 < mu <= 10.
+    max_alpha = 3 if sum(wt) <= 6 else 2
+    assert not _nonzero_residuals(reconstruct(Weights(wt), max_alpha + 3), max_alpha), wt
 
 
 def test_random_weight_vectors():
@@ -292,7 +355,9 @@ def test_random_weight_vectors():
     @hypothesis.given(weight_vectors())
     def check(w):
         p = reconstruct(w, 5)
+        # Both routes agree on every residual at |alpha| <= 1: none is nonzero.
         assert not _nonzero_residuals(p, 1), w
+        assert not _nonzero_residuals(p, 1, wdvv_residual_reference), w
         for alpha, value in p.nonzero_items():
             assert _passes_selection_rule(w, alpha), (w, alpha, value)
         _assert_unit_axiom(p)

@@ -435,11 +435,11 @@ def wdvv_residual(
 
     It reads ``S(i, j, k, l) - S(j, k, i, l)`` off the table of residuals at
     ``alpha``, built from the contraction ``S`` of the stored nonzero
-    coefficients alone (see the module docstring).  Every ``a`` with a stored term enters, where the
-    solver keeps only the charge-compatible one: this check does not use the
-    selection rule, so a sweep can still catch a wrong coefficient on either
-    side of it.  Asking for the residuals in alpha-major order builds each
-    table once.
+    coefficients alone (see the module docstring).  Every ``a`` with a
+    stored term enters, where the solver keeps only the charge-compatible
+    one: this check does not use the selection rule, so a sweep can still
+    catch a wrong coefficient on either side of it.  Asking for the
+    residuals in alpha-major order builds each table once.
 
     Raises ``ValueError`` if an index is not an integer in ``[0, mu)``, if
     ``alpha`` is not in N^mu, or if the potential is too shallow to evaluate

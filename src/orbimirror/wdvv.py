@@ -124,6 +124,7 @@ class Potential:
     ``coeffs`` is a read-only copy of the mapping it is built from, so the
     residual tables cached on the potential cannot go stale; a changed
     potential is a new one (``dataclasses.replace``) with tables of its own.
+    Raises ``ValueError`` if a key is not in N^mu.
     """
 
     weights: Weights
@@ -131,7 +132,10 @@ class Potential:
     coeffs: Mapping[MultiIndex, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        coeffs = dict(self.coeffs)
+        for key in coeffs:
+            _multi_index(key, self.weights.mu)
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
         alpha = _multi_index(alpha, self.weights.mu)

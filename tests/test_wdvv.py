@@ -315,6 +315,10 @@ def test_potential_is_read_only():
     hand = Potential(w, 5, source)
     source[key] += 1
     assert hand == p
+    # Every key must lie in N^mu, as ``coeff`` and the residual tables read it.
+    for bad in [(0, 0, 0, 0, 0, 3), (-1, 0, 0, 2, 2), (0.5, 0, 0, 2, 2)]:
+        with pytest.raises(ValueError):
+            Potential(w, 5, {**p.coeffs, bad: F(1)})
     # A sweep caches tables on ``p``; a replaced potential builds its own.
     assert not _nonzero_residuals(p, 2)
     wrong = dict(p.coeffs)

@@ -263,25 +263,10 @@ def test_residuals_vanish_small_sweep(suite_weights):
     if suite_weights.mu > 4:
         pytest.skip("full sweep runs in the acceptance suite")
     w = suite_weights
-    assert not _nonzero_residuals(reconstruct(w, 6), 3), w
-
-
-SMALL_RANKS = [wt for wt in SUITE if sum(wt) <= 4]
-
-
-@pytest.mark.parametrize("wt", SMALL_RANKS, ids=lambda t: "w" + "_".join(map(str, t)))
-def test_residual_matches_reference(wt):
-    # Every residual at |alpha| <= 3, one by one: the table route and the
-    # term-by-term sum give the same exact value.
-    p = reconstruct(Weights(wt), 6)
-    mu = p.weights.mu
-    for total in range(4):
-        for alpha in itertools.product(range(total + 1), repeat=mu):
-            if sum(alpha) != total:
-                continue
-            for eq in itertools.product(range(mu), repeat=4):
-                got = wdvv_residual(p, *eq, alpha)
-                assert got == wdvv_residual_reference(p, *eq, alpha), (wt, eq, alpha)
+    p = reconstruct(w, 6)
+    # Both routes agree on every residual at |alpha| <= 3: none is nonzero.
+    assert not _nonzero_residuals(p, 3), w
+    assert not _nonzero_residuals(p, 3, wdvv_residual_reference), w
 
 
 @pytest.mark.parametrize("wt", [(1, 1, 1), (2, 3)], ids=["w1_1_1", "w2_3"])

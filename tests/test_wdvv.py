@@ -224,6 +224,7 @@ def test_residual_depth_guard():
         ((0, 0, 0, -1), (0, 0, 0)),
         ((0, 0, 0, 0), (0.5, 0.5, 0)),
         ((0.5, 0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0, 0), (0, 0, 1.0)),
     ],
     ids=[
         "alpha-short",
@@ -233,10 +234,14 @@ def test_residual_depth_guard():
         "index-minus-1",
         "alpha-non-integer",
         "index-non-integer",
+        "alpha-equal-to-last-table",
     ],
 )
 def test_residual_rejects_malformed_input(eq, alpha):
     p = reconstruct(Weights(1, 1, 1), 5)
+    # Build the table at (0, 0, 1) first: an alpha equal to it but not made
+    # of ints must still be refused.
+    assert wdvv_residual(p, 0, 0, 0, 0, (0, 0, 1)) == 0
     with pytest.raises(ValueError):
         wdvv_residual(p, *eq, alpha)
 

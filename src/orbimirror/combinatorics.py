@@ -43,9 +43,10 @@ class Weights:
 
     Weight vectors are kept exactly as given: no gcd reduction and no
     sorting, since every formula downstream is stated for general weights.
+    ``mu``, the total weight and the rank of everything here, is stored once.
     """
 
-    __slots__ = ("w",)
+    __slots__ = ("w", "mu")
 
     def __init__(self, *w):
         if len(w) == 1 and not isinstance(w[0], int):
@@ -56,14 +57,13 @@ class Weights:
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise ValueError(f"weights must be integers >= 1, got {x!r}")
         object.__setattr__(self, "w", tuple(w))
+        object.__setattr__(self, "mu", sum(w))
 
     def __setattr__(self, name, value):
         raise AttributeError("Weights is immutable")
 
-    @property
-    def mu(self) -> int:
-        """Total weight ``w_0 + ... + w_n``; the rank of everything here."""
-        return sum(self.w)
+    def __delattr__(self, name):
+        raise AttributeError("Weights is immutable")
 
     @property
     def n(self) -> int:

@@ -39,13 +39,23 @@ Selection rule.  ``A(alpha) = 0`` unless ``alpha`` passes both of
   quantum parameter that ``t^alpha`` carries, and ``F`` has no negative
   powers of it.
 
-The solver's memo is the potential: it starts as the nonzero cubic data,
-every coefficient solved is stored in it, and ``reconstruct`` returns its
-nonzero entries.  The solver never computes a coefficient the rule forces
-to zero: ``coeff`` returns the zero at once, a chain stops at such a state, and of each
+The degree rule is integer arithmetic.  Every ``sigma(k)`` has a
+denominator dividing ``D = lcm(w)``, so ``D d(alpha)`` is ``D (3 - n)`` plus
+the dot product of ``alpha`` with the integers ``D (sigma(k) - 1)``, stored
+once per weight vector; ``scaling_weight`` is its ``Fraction`` view.
+
+The solver never visits a key the rule forces to zero.  ``reconstruct``
+walks the slots ``1 .. mu-1`` in order and enters a branch only if some
+filling of the slots after it passes both rules, read off a table of the
+largest degree that ``r`` units on slots ``k .. mu-1`` can add at each
+charge mod ``mu``; so it yields exactly the admissible keys with
+``alpha_0 = 0``, one at a time.  Inside the solver ``coeff`` returns the zero
+of an inadmissible key at once, a chain stops at such a state, and of each
 interior sum over ``a`` in an equation it keeps the one charge-compatible
-term.  ``wdvv_residual`` does not use the rule, so a residual sweep stays an
-independent check of the solver, and of the rule itself.
+term.  The solver's memo is the potential: it starts as the nonzero cubic
+data, every coefficient solved is stored in it, and ``reconstruct`` returns
+its nonzero entries.  ``wdvv_residual`` does not use the rule, so a residual
+sweep stays an independent check of the solver, and of the rule itself.
 
 Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 ``S(i, j, k, l) - S(j, k, i, l)``, where
@@ -71,6 +81,7 @@ All arithmetic is exact; no floating point appears anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,13 +118,35 @@ def initial_coeffs(w: Weights) -> MappingProxyType:
     return MappingProxyType(out)
 
 
+@lru_cache(maxsize=None)
+def _degree_table(w: Weights) -> tuple[int, int, tuple[int, ...]]:
+    """``(D, D (3 - n), (D (sigma(k) - 1))_k)`` with ``D = lcm(w)``.
+
+    ``sigma(k) = k - mu l / w_i`` for some ``l`` and ``i``, so every entry is an
+    integer; raises ``InternalConsistencyError`` if one is not.
+    """
+    den = math.lcm(*w)
+    steps = [den * (s - 1) for s in spectrum(w)]
+    bad = [k for k, x in enumerate(steps) if x.denominator != 1]
+    if bad:
+        raise InternalConsistencyError(
+            f"D * (sigma(k) - 1) is not an integer at k in {bad} for D = {den}"
+        )
+    return den, den * (3 - w.n), tuple(x.numerator for x in steps)
+
+
+def _scaled_weight(
+    table: tuple[int, int, tuple[int, ...]], alpha: MultiIndex
+) -> int:
+    """``D d(alpha)``, read off ``table = _degree_table(w)``."""
+    return table[1] + sum(map(operator.mul, alpha, table[2]))
+
+
 def scaling_weight(w: Weights, alpha: MultiIndex) -> Fraction:
-    """``d(alpha) = 3 - n + sum_k alpha_k (sigma(k) - 1)``."""
-    sigma = spectrum(w)
-    return 3 - w.n + sum(
-        (alpha[k] * (sigma[k] - 1) for k in range(len(alpha)) if alpha[k]),
-        Fraction(0),
-    )
+    """``d(alpha) = 3 - n + sum_k alpha_k (sigma(k) - 1)``, as ``D d(alpha)``
+    over ``D = lcm(w)``."""
+    table = _degree_table(w)
+    return Fraction(_scaled_weight(table, alpha), table[0])
 
 
 @dataclass(frozen=True)
@@ -206,6 +239,7 @@ class _Reconstructor:
         self.w = w
         self.mu = w.mu
         self.dual, self.ginv = _metric_diagonal(w)
+        self.degrees = _degree_table(w)
         # Every coefficient solved so far, seeded with the nonzero cubic data.
         zero = (0,) * w.mu
         self.memo: dict[MultiIndex, Fraction] = {
@@ -219,7 +253,7 @@ class _Reconstructor:
         passes the charge rule and ``d(alpha) >= 0``."""
         if _charge(alpha) % self.mu != (self.w.n + sum(alpha) - 3) % self.mu:
             return False
-        return scaling_weight(self.w, alpha) >= 0
+        return _scaled_weight(self.degrees, alpha) >= 0
 
     def coeff(self, key: MultiIndex) -> Fraction:
         # The memo holds admissible keys only (the nonzero cubic data passes
@@ -234,7 +268,8 @@ class _Reconstructor:
             value = Fraction(0)
         elif key[1] >= 1:
             prev = (key[0], key[1] - 1) + key[2:]
-            value = self.coeff(prev) * scaling_weight(self.w, prev) / self.mu
+            den = self.degrees[0] * self.mu
+            value = self.coeff(prev) * Fraction(_scaled_weight(self.degrees, prev), den)
         else:
             value = self._chain(key)
         self.memo[key] = value
@@ -271,7 +306,7 @@ class _Reconstructor:
                 kt in self.memo
                 or (m - t_stop) <= 1
                 or (l0 + t_stop) % mu <= 1
-                or not self.admissible(kt)
+                or _scaled_weight(self.degrees, kt) < 0
             ):
                 break
             t_stop += 1
@@ -319,14 +354,49 @@ class _Reconstructor:
         return total / pivot
 
 
-def _compositions(total: int, parts: int):
-    """All tuples in N^parts with the given sum, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _admissible_keys(w: Weights, max_length: int):
+    """Every ``alpha`` with ``alpha_0 = 0`` and ``4 <= |alpha| <= max_length``
+    that passes the selection rule, by length and then lexicographically.
+
+    ``best[k][r]`` maps each charge mod ``mu`` that ``r`` units on the slots
+    ``k .. mu-1`` can carry to the largest ``D d`` they can add.  The walk
+    fills the slots in order and enters a branch only if ``best`` says the
+    slots after it can still meet both rules, so every branch yields a key.
+    """
+    mu = w.mu
+    _, base, steps = _degree_table(w)
+    # ``best[mu]``: no slots left, so only zero units, of charge 0.
+    best = [[]] * mu + [[{0: 0}] + [{}] * max_length]
+    for k in range(mu - 1, 0, -1):
+        best[k] = [{} for _ in range(max_length + 1)]
+        for r, row in enumerate(best[k]):
+            for x in range(r + 1):
+                for c, d in best[k + 1][r - x].items():
+                    c, d = (c + k * x) % mu, d + x * steps[k]
+                    if row.get(c, d) <= d:
+                        row[c] = d
+    key = [0] * mu
+
+    def walk(k: int, r: int, charge: int, degree: int):
+        # Slots before ``k`` are filled; ``r`` units of charge ``charge`` mod
+        # ``mu`` are left for the slots ``k .. mu-1``, and ``best`` says they
+        # fit.
+        if not r:
+            key[k:] = [0] * (mu - k)
+            yield tuple(key)
+            return
+        for x in range(r + 1):
+            c, d = (charge - k * x) % mu, degree + x * steps[k]
+            top = best[k + 1][r - x].get(c)
+            if top is not None and d + top >= 0:
+                key[k] = x
+                yield from walk(k + 1, r - x, c, d)
+
+    for length in range(4, max_length + 1):
+        charge = (w.n + length - 3) % mu
+        top = best[1][length].get(charge)
+        if top is not None and base + top >= 0:
+            yield from walk(1, length, charge, base)
 
 
 def reconstruct(w: Weights, max_length: int) -> Potential:
@@ -335,14 +405,17 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     >>> p = reconstruct(Weights(1, 1), 5)
     >>> [p.coeff((0, k)) for k in range(3, 6)]
     [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
+
+    Raises ``ValueError`` unless ``max_length`` is an ``int`` (not a
+    ``bool``) of at least 3 and ``mu >= 2``; ``max_length`` is checked first.
     """
+    if not isinstance(max_length, int) or isinstance(max_length, bool) or max_length < 3:
+        raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
     rec = _Reconstructor(w)
-    if max_length < 3:
-        raise ValueError("max_length must be at least 3")
-    for length in range(4, max_length + 1):
-        # Multi-indices with a unit slot are zero and never walked.
-        for tail in _compositions(length, w.mu - 1):
-            rec.coeff((0,) + tail)
+    # Multi-indices with a unit slot, and those the rule forces to zero, are
+    # never walked.
+    for key in _admissible_keys(w, max_length):
+        rec.coeff(key)
     # Drop the memoised zeros in place: ``Potential`` makes the one copy.
     memo = rec.memo
     for key in [key for key, value in memo.items() if not value]:

@@ -4,7 +4,8 @@ Nothing here touches the library's own code paths: the counts of rational
 plane curves come from the classical recursion, the falling-factorial
 ratio below is an alternative route to the sector structure constants, and
 the WDVV residual is summed term by term over every ``beta <= alpha`` and
-every ``a``, with no index of the stored coefficients.
+every ``a``, with no index of the stored coefficients, and the multi-indices
+of one length are walked in full, with no selection rule.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ def kontsevich_numbers(dmax: int) -> dict[int, int]:
             )
         n[d] = total
     return n
+
+
+def compositions(total: int, parts: int):
+    """All tuples in N^parts with the given sum, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def falling_factorial(x: Fraction, n: int) -> Fraction:

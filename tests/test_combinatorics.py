@@ -34,6 +34,20 @@ def test_weights_validation():
     assert Weights(2, 4).n == 1
 
 
+def test_weights_are_immutable():
+    w = Weights(2, 4)
+    with pytest.raises(AttributeError):
+        w.mu = 7
+    with pytest.raises(AttributeError):
+        del w.mu
+    with pytest.raises(AttributeError):
+        w.w = (1, 5)
+    assert w.mu == 6 and w.w == (2, 4)
+    # Equality and hashing read the weights alone.
+    assert w == Weights([2, 4]) and hash(w) == hash((2, 4))
+    assert w != Weights(4, 2) and w != Weights(1, 5)
+
+
 def test_sectors_examples():
     assert sectors(Weights(1, 1, 1)) == (F(0),)
     assert sectors(Weights(1, 2, 2, 3, 3, 3)) == (F(0), F(1, 3), F(1, 2), F(2, 3))

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from _oracles import kontsevich_numbers, wdvv_residual_reference
+from _oracles import compositions, kontsevich_numbers, wdvv_residual_reference
 from conftest import SUITE
 from orbimirror import (
+    InternalConsistencyError,
     Potential,
     Weights,
     initial_coeffs,
@@ -20,7 +22,16 @@ from orbimirror import (
 from orbimirror.aquantum import three_point
 from orbimirror.bside import metric
 from orbimirror.combinatorics import spectrum
-from orbimirror.wdvv import _Reconstructor, scaling_weight
+from orbimirror import wdvv
+from orbimirror.wdvv import (
+    _admissible_keys,
+    _degree_table,
+    _Reconstructor,
+    _scaled_weight,
+    scaling_weight,
+)
+
+SMALL_SUITE = [wt for wt in SUITE if sum(wt) <= 10]
 
 
 def _passes_selection_rule(w, alpha):
@@ -29,6 +40,30 @@ def _passes_selection_rule(w, alpha):
     charge = sum(k * x for k, x in enumerate(alpha))
     degree = 3 - w.n + sum(x * (sigma[k] - 1) for k, x in enumerate(alpha))
     return charge % w.mu == (w.n + sum(alpha) - 3) % w.mu and degree >= 0
+
+
+def _reference_keys(w, lengths, rule):
+    """The full walk over ``(0,) + tail`` at each length, filtered by
+    ``rule``."""
+    return [
+        (0,) + tail
+        for length in lengths
+        for tail in compositions(length, w.mu - 1)
+        if rule((0,) + tail)
+    ]
+
+
+def _weight_vectors(st, max_mu):
+    @st.composite
+    def draw_weights(draw):
+        # A composition of mu, one weight at a time.
+        mu = draw(st.integers(2, max_mu))
+        ws = []
+        while sum(ws) < mu:
+            ws.append(draw(st.integers(1, mu - sum(ws))))
+        return Weights(ws)
+
+    return draw_weights()
 
 
 def _nonzero_residuals(p, max_alpha, residual=wdvv_residual):
@@ -173,9 +208,7 @@ def test_homogeneity_invariant_on_reconstruction(suite_weights):
     _assert_homogeneity(reconstruct(suite_weights, 6))
 
 
-@pytest.mark.parametrize(
-    "wt", [wt for wt in SUITE if sum(wt) <= 10], ids=lambda t: "w" + "_".join(map(str, t))
-)
+@pytest.mark.parametrize("wt", SMALL_SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
 def test_nonzero_coefficients_pass_selection_rule(wt):
     w = Weights(wt)
     for alpha, value in reconstruct(w, 6).nonzero_items():
@@ -199,6 +232,66 @@ def test_selection_rule_on_cubic_data(suite_weights):
         assert rec.admissible(tuple(alpha)) == (congruent and degree_ok), (i, j, k)
         if (i, j, k) in table:
             assert congruent and degree_ok, (w, i, j, k)
+
+
+@pytest.mark.parametrize("wt", SMALL_SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
+def test_scaled_degree_matches_spectrum(wt):
+    # D d(alpha) over D = lcm(w) is 3 - n + sum_k alpha_k (sigma(k) - 1), on
+    # every alpha with 3 <= |alpha| <= 6, alpha_0 > 0 included.
+    w = Weights(wt)
+    sigma = spectrum(w)
+    table = _degree_table(w)
+    assert table[0] == math.lcm(*wt)
+    for length in range(3, 7):
+        for alpha in compositions(length, w.mu):
+            expected = 3 - w.n + sum(x * (sigma[k] - 1) for k, x in enumerate(alpha))
+            assert F(_scaled_weight(table, alpha), table[0]) == expected, alpha
+            assert scaling_weight(w, alpha) == expected, alpha
+
+
+def test_degree_table_refuses_a_non_integral_entry(monkeypatch):
+    w = Weights(2, 3)
+    sigma = list(spectrum(w))
+    sigma[2] += F(1, 7)
+    monkeypatch.setattr(wdvv, "spectrum", lambda _: tuple(sigma))
+    with pytest.raises(InternalConsistencyError):
+        _degree_table.__wrapped__(w)
+
+
+@pytest.mark.parametrize("wt", SMALL_SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
+def test_admissible_keys_match_reference_walk(wt):
+    # The walk yields exactly the full walk filtered by the rule, in order.
+    w = Weights(wt)
+    rec = _Reconstructor(w)
+    got = list(_admissible_keys(w, 6))
+    assert got == _reference_keys(w, range(4, 7), rec.admissible), w
+
+
+@pytest.mark.parametrize(
+    "wt, max_length, count",
+    [((1, 2, 2, 3, 3, 3), 8, 14_526), ((2, 3, 4, 5, 7), 6, 10_878), ((2, 3, 5), 9, 4_740)],
+    ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_admissible_key_counts(wt, max_length, count):
+    # The full walks visit 202,930, 228,459 and 48,400 keys.
+    assert sum(1 for _ in _admissible_keys(Weights(wt), max_length)) == count
+
+
+def test_admissible_keys_random_weight_vectors():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(
+        max_examples=30, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(_weight_vectors(hypothesis.strategies, 8))
+    def check(w):
+        # Against the rule stated from the spectrum, not the integer table.
+        expected = _reference_keys(
+            w, range(4, 7), lambda alpha: _passes_selection_rule(w, alpha)
+        )
+        assert list(_admissible_keys(w, 6)) == expected, w
+
+    check()
 
 
 def test_residual_examples():
@@ -332,21 +425,11 @@ def test_residuals_vanish_to_mu_10(wt):
 
 def test_random_weight_vectors():
     hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @st.composite
-    def weight_vectors(draw):
-        # A composition of mu, one weight at a time.
-        mu = draw(st.integers(2, 6))
-        ws = []
-        while sum(ws) < mu:
-            ws.append(draw(st.integers(1, mu - sum(ws))))
-        return Weights(ws)
 
     @hypothesis.settings(
         max_examples=25, deadline=None, derandomize=True, database=None
     )
-    @hypothesis.given(weight_vectors())
+    @hypothesis.given(_weight_vectors(hypothesis.strategies, 6))
     def check(w):
         p = reconstruct(w, 5)
         # Both routes agree on every residual at |alpha| <= 1: none is nonzero.
@@ -365,6 +448,21 @@ def test_reconstruct_input_validation():
         reconstruct(Weights(1), 5)
     with pytest.raises(ValueError):
         reconstruct(Weights(1, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "max_length",
+    [5.0, True, "5", None, F(5), 2, -1],
+    ids=["float", "bool", "str", "none", "fraction", "two", "negative"],
+)
+def test_reconstruct_rejects_bad_max_length(monkeypatch, max_length):
+    # The depth is checked before any cubic data is built.
+    def build(w):
+        raise AssertionError("built the solver before checking max_length")
+
+    monkeypatch.setattr(wdvv, "_Reconstructor", build)
+    with pytest.raises(ValueError):
+        reconstruct(Weights(1, 1, 1), max_length)
 
 
 def test_coeff_range_guards():

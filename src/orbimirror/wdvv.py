@@ -144,9 +144,9 @@ def _scaled_weight(
 
 def scaling_weight(w: Weights, alpha: MultiIndex) -> Fraction:
     """``d(alpha) = 3 - n + sum_k alpha_k (sigma(k) - 1)``, as ``D d(alpha)``
-    over ``D = lcm(w)``."""
+    over ``D = lcm(w)``.  Raises ``ValueError`` unless ``alpha`` is in N^mu."""
     table = _degree_table(w)
-    return Fraction(_scaled_weight(table, alpha), table[0])
+    return Fraction(_scaled_weight(table, _multi_index(alpha, w.mu)), table[0])
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ from orbimirror import (
     mirror_index_map,
     ordered_basis,
     reconstruct,
+    wdvv,
     wdvv_residual,
 )
 from orbimirror.aquantum import three_point
 from orbimirror.bside import metric
 from orbimirror.combinatorics import spectrum
-from orbimirror import wdvv
 from orbimirror.wdvv import (
     _admissible_keys,
     _degree_table,
@@ -32,6 +32,10 @@ from orbimirror.wdvv import (
 )
 
 SMALL_SUITE = [wt for wt in SUITE if sum(wt) <= 10]
+
+
+def _wt_id(wt):
+    return "w" + "_".join(map(str, wt))
 
 
 def _passes_selection_rule(w, alpha):
@@ -208,7 +212,7 @@ def test_homogeneity_invariant_on_reconstruction(suite_weights):
     _assert_homogeneity(reconstruct(suite_weights, 6))
 
 
-@pytest.mark.parametrize("wt", SMALL_SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
+@pytest.mark.parametrize("wt", SMALL_SUITE, ids=_wt_id)
 def test_nonzero_coefficients_pass_selection_rule(wt):
     w = Weights(wt)
     for alpha, value in reconstruct(w, 6).nonzero_items():
@@ -234,7 +238,7 @@ def test_selection_rule_on_cubic_data(suite_weights):
             assert congruent and degree_ok, (w, i, j, k)
 
 
-@pytest.mark.parametrize("wt", SMALL_SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
+@pytest.mark.parametrize("wt", SMALL_SUITE, ids=_wt_id)
 def test_scaled_degree_matches_spectrum(wt):
     # D d(alpha) over D = lcm(w) is 3 - n + sum_k alpha_k (sigma(k) - 1), on
     # every alpha with 3 <= |alpha| <= 6, alpha_0 > 0 included.
@@ -249,6 +253,16 @@ def test_scaled_degree_matches_spectrum(wt):
             assert scaling_weight(w, alpha) == expected, alpha
 
 
+@pytest.mark.parametrize(
+    "alpha",
+    [(0, 3), (0, 0, 3, 0), (-1, 2, 2), (0.5, 0.5, 2)],
+    ids=["short", "long", "negative", "non-integer"],
+)
+def test_scaling_weight_rejects_malformed_multi_index(alpha):
+    with pytest.raises(ValueError):
+        scaling_weight(Weights(1, 1, 1), alpha)
+
+
 def test_degree_table_refuses_a_non_integral_entry(monkeypatch):
     w = Weights(2, 3)
     sigma = list(spectrum(w))
@@ -258,7 +272,7 @@ def test_degree_table_refuses_a_non_integral_entry(monkeypatch):
         _degree_table.__wrapped__(w)
 
 
-@pytest.mark.parametrize("wt", SMALL_SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
+@pytest.mark.parametrize("wt", SMALL_SUITE, ids=_wt_id)
 def test_admissible_keys_match_reference_walk(wt):
     # The walk yields exactly the full walk filtered by the rule, in order.
     w = Weights(wt)
@@ -270,7 +284,7 @@ def test_admissible_keys_match_reference_walk(wt):
 @pytest.mark.parametrize(
     "wt, max_length, count",
     [((1, 2, 2, 3, 3, 3), 8, 14_526), ((2, 3, 4, 5, 7), 6, 10_878), ((2, 3, 5), 9, 4_740)],
-    ids=lambda v: "_".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    ids=["w1_2_2_3_3_3-L8", "w2_3_4_5_7-L6", "w2_3_5-L9"],
 )
 def test_admissible_key_counts(wt, max_length, count):
     # The full walks visit 202,930, 228,459 and 48,400 keys.
@@ -413,7 +427,7 @@ def test_potential_is_read_only():
 @pytest.mark.parametrize(
     "wt",
     [(2, 4), (3, 3), (1, 2, 3), (4, 6), (2, 3, 5), (1, 2, 3, 4)],
-    ids=lambda t: "w" + "_".join(map(str, t)),
+    ids=_wt_id,
 )
 def test_residuals_vanish_to_mu_10(wt):
     # Every (i, j, k, l) in [0, mu)^4 at |alpha| <= 3 for mu = 6 and at

@@ -25,7 +25,6 @@ from .acohomology import (
     cup_basis,
     degree,
     gram_matrix,
-    obstruction_set,
     ordered_basis,
     pairing,
     unit,
@@ -60,7 +59,6 @@ __all__ = [
     "inverse_sector",
     "k_min",
     "mirror_index_map",
-    "obstruction_set",
     "ordered_basis",
     "pairing",
     "reconstruct",

@@ -7,17 +7,18 @@ arithmetic:
 
 * the ordered basis and the grading ``deg(eta_g^d) = 2 (d + age(g))``,
 * the Poincare pairing (perfect, block anti-diagonal in the sectors),
-* the obstruction index set of a triple of sectors multiplying to 1,
 * the cup product on basis classes,
 * the monomials ``c * Q^e * eta_g^d`` that the quantum action moves,
 * the grading matrix ``diag(deg / 2)``.
 
-The cup product of two basis classes is ``prod(w_i for i in K)`` times a
-single basis class in the product sector, where ``K`` combines the
-obstruction set with the excess fixed locus:
-``K = J(g0, g1, (g0 g1)^{-1}) + (I(g0 g1) - I(g0) & I(g1))``.
-Products landing in an empty sector, or with target exponent above the
-sector dimension, are zero.
+The cup product is read off the integer parts ``p_i = D * frac(g * w_i)``,
+``D = lcm(w)``, of the sector table.  With ``K = {i : p0_i + p1_i >= D}``,
+the coordinates that carry, ``eta_{g0}^{d0} * eta_{g1}^{d1}`` is
+``prod(w_i for i in K) * eta_{g0 g1}^{d0 + d1 + |K|}``, or zero when
+``g0 g1`` is not a sector or the exponent is above its dimension.  This is
+the Chen-Ruan formula: with ``s_i = p0_i + p1_i``, the obstruction set is
+``{s_i > D}``, the excess fixed locus ``I(g0 g1) - I(g0) & I(g1)`` is
+``{s_i = D}``, and ``age(g0) + age(g1) - age(g0 g1) = #{s_i >= D}``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from types import MappingProxyType
 from .combinatorics import (
     Sector,
     Weights,
-    age,
     frac,
     sector_dim,
     sector_table,
@@ -118,30 +118,15 @@ def gram_matrix(w: Weights) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(pairing(w, a, b) for b in basis) for a in basis)
 
 
-def obstruction_set(
-    w: Weights, g0: Sector, g1: Sector, ginf: Sector
-) -> frozenset[int]:
-    """Indices where the three fractional rotation parts sum to 2.
-
-    The sectors must multiply to the identity (rotation numbers summing to
-    an integer); other triples are rejected.
-    """
-    if (g0 + g1 + ginf).denominator != 1:
-        raise ValueError("sectors do not multiply to the identity")
-    return frozenset(
-        i
-        for i, wi in enumerate(w)
-        if frac(g0 * wi) + frac(g1 * wi) + frac(ginf * wi) == 2
-    )
-
-
 def cup_basis(
     w: Weights, a: BasisClass, b: BasisClass
 ) -> tuple[Fraction, BasisClass | None]:
     """Cup product of two basis classes: ``(coefficient, target)``.
 
-    Returns ``(0, None)`` when the product sector is empty or the target
-    exponent exceeds the sector dimension.
+    By the carry rule: ``prod(w_i for i in K) * eta_g^{d0 + d1 + |K|}`` on
+    ``g = frac(g0 + g1)``, ``K = {i : p0_i + p1_i >= D}``.  Returns
+    ``(0, None)`` when ``g`` is not a sector or the exponent exceeds its
+    dimension.
 
     >>> w = Weights(1, 2, 2, 3, 3, 3)
     >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
@@ -152,16 +137,14 @@ def cup_basis(
     g = frac(s0.gamma + s1.gamma)
     # g is a sector exactly when some coordinate is fixed by it.
     s = table.get(g)
-    d = a.d + b.d + s0.age + s1.age - (age(w, g) if s is None else s.age)
-    if d.denominator != 1 or d < 0:
-        raise InternalConsistencyError(
-            f"cup exponent {d} is not a nonnegative integer for {a} * {b}"
-        )
-    if s is None or d > s.dim:
+    if s is None:
         return Fraction(0), None
-    j = obstruction_set(w, s0.gamma, s1.gamma, s.inverse)
-    k = j | (s.fixed - (s0.fixed & s1.fixed))
-    return Fraction(math.prod(w[i] for i in k)), BasisClass(g, int(d))
+    lcm = math.lcm(*w)
+    carry = [i for i, p in enumerate(s0.parts) if p + s1.parts[i] >= lcm]
+    d = a.d + b.d + len(carry)
+    if d > s.dim:
+        return Fraction(0), None
+    return Fraction(math.prod(w[i] for i in carry)), BasisClass(g, d)
 
 
 def unit(w: Weights) -> CohClass:

@@ -43,7 +43,6 @@ from .acohomology import (
     CohClass,
     basis_index,
     cup_basis,
-    degree,
     ordered_basis,
 )
 from .errors import InternalConsistencyError
@@ -62,14 +61,17 @@ class TripleKind(enum.Enum):
 def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> TripleKind:
     """Sort the triple ``(eta_1^1, eta_g^d, eta_g2^d2)`` into its case.
 
-    ``e = 1 + deg/2 + deg'/2 - n`` is ``mu`` times the hyperplane degree of
-    the one curve class that can support the invariant.  The classifier
+    ``e = 1 + deg/2 + deg'/2 - n``, with ``deg/2 = d + age(g)`` read from
+    the sector table, is ``mu`` times the hyperplane degree of the one curve
+    class that can support the invariant.  The classifier
     ``t = e + mu*(gamma(g^-1) + gamma(g2^-1))`` is always an exact integer.
     The invariant vanishes unless ``t = 0 mod mu``; among the survivors the
     degree-0 (classical) ones are exactly those with ``e = 0``.
     """
-    e = 1 + (degree(w, BasisClass(g, d)) + degree(w, BasisClass(g2, d2))) / 2 - w.n
-    t = e + w.mu * (inverse_sector(g) + inverse_sector(g2))
+    table = sector_table(w)
+    s, s2 = table[g], table[g2]
+    e = 1 + d + s.age + d2 + s2.age - w.n
+    t = e + w.mu * (s.inverse + s2.inverse)
     if t.denominator != 1:
         raise InternalConsistencyError(f"classifier {t} is not an integer")
     if int(t) % w.mu != 0:

@@ -14,9 +14,9 @@ holds the combinatorial layer both sides are built on:
 * ``k_min``: the first position of a sector's value inside the s-sequence,
   computed in closed form,
 * the *sector table*: one read-only record per sector holding its inverse,
-  fixed set, age, dimension, inverse-weight product and ``k_min``, built
-  once from the formulas above.  Every other module reads per-sector data
-  from this table.
+  its integer parts ``D * frac(g * w_i)`` over ``D = lcm(w)``, and the fixed
+  set, age, dimension, inverse-weight product and ``k_min`` they give,
+  built once.  Every other module reads per-sector data from this table.
 
 All functions are pure and exact (``fractions.Fraction`` arithmetic), and
 results for a given weight vector are cached.
@@ -64,6 +64,10 @@ class Weights:
 
     def __delattr__(self, name):
         raise AttributeError("Weights is immutable")
+
+    def __reduce__(self):
+        # Through __init__: the default protocol would call __setattr__.
+        return Weights, (self.w,)
 
     @property
     def n(self) -> int:
@@ -192,10 +196,15 @@ def k_min(w: Weights, g: Sector) -> int:
 
 @dataclass(frozen=True)
 class SectorData:
-    """Per-sector data shared by the A side, the B side and the mirror map."""
+    """Per-sector data shared by the A side, the B side and the mirror map.
+
+    ``parts[i]`` is the integer ``D * frac(gamma * w_i)`` with ``D = lcm(w)``;
+    ``fixed`` is where it is 0 and ``age`` is its sum over ``D``.
+    """
 
     gamma: Sector
     inverse: Sector
+    parts: tuple[int, ...]
     fixed: frozenset[int]
     age: Fraction
     dim: int
@@ -211,14 +220,19 @@ def sector_table(w: Weights) -> MappingProxyType:
     >>> sector_table(Weights(1, 2))[Fraction(1, 2)].inv_weight_product
     Fraction(1, 2)
     """
+    lcm = math.lcm(*w)
     table = {}
     for g in sectors(w):
-        fixed = fixed_indices(w, g)
+        # D * g is an integer: the denominator of g divides some w_i.
+        step = g.numerator * (lcm // g.denominator)
+        parts = tuple(step * wi % lcm for wi in w)
+        fixed = frozenset(i for i, p in enumerate(parts) if p == 0)
         table[g] = SectorData(
             gamma=g,
             inverse=inverse_sector(g),
+            parts=parts,
             fixed=fixed,
-            age=age(w, g),
+            age=Fraction(sum(parts), lcm),
             dim=len(fixed) - 1,
             inv_weight_product=Fraction(1, math.prod(w[i] for i in fixed)),
             k_min=k_min(w, g),

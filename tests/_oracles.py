@@ -2,7 +2,9 @@
 
 Nothing here touches the library's own code paths: the counts of rational
 plane curves come from the classical recursion, the falling-factorial
-ratio below is an alternative route to the sector structure constants, and
+ratio below is an alternative route to the sector structure constants, the
+cup product is the Chen-Ruan formula with its obstruction set, stated over
+the ``Fraction`` definitions of sectors, fixed sets and ages, and
 the WDVV residual is summed term by term over every ``beta <= alpha`` and
 every ``a``, with no index of the stored coefficients, and the multi-indices
 of one length are walked in full, with no selection rule.
@@ -15,8 +17,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from orbimirror import Weights, sector_dim, sectors
+from orbimirror import BasisClass, Weights, age, fixed_indices, sector_dim, sectors
 from orbimirror.bside import metric_diagonal
+from orbimirror.combinatorics import frac
 
 
 def kontsevich_numbers(dmax: int) -> dict[int, int]:
@@ -48,6 +51,44 @@ def compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def obstruction_set(w: Weights, g0, g1, ginf) -> frozenset[int]:
+    """Indices where the three fractional rotation parts sum to 2.
+
+    The sectors must multiply to the identity (rotation numbers summing to
+    an integer); other triples are rejected.
+    """
+    if (g0 + g1 + ginf).denominator != 1:
+        raise ValueError("sectors do not multiply to the identity")
+    return frozenset(
+        i
+        for i, wi in enumerate(w)
+        if frac(g0 * wi) + frac(g1 * wi) + frac(ginf * wi) == 2
+    )
+
+
+def cup_basis_reference(w: Weights, a: BasisClass, b: BasisClass):
+    """The cup product ``(coefficient, target)`` of two basis classes as
+    ``prod(w_i for i in K)`` times ``eta_g^d`` on ``g = g0 g1``, with
+
+        K = J(g0, g1, g^{-1}) + (I(g) - I(g0) & I(g1)),
+        d = d0 + d1 + age(g0) + age(g1) - age(g),
+
+    and ``(0, None)`` when ``g`` is not a sector or ``d > dim(g)``.  Raises
+    ``ValueError`` if ``d`` is not a nonnegative integer.
+    """
+    g0, g1 = a.gamma, b.gamma
+    g = frac(g0 + g1)
+    d = a.d + b.d + age(w, g0) + age(w, g1) - age(w, g)
+    if d.denominator != 1 or d < 0:
+        raise ValueError(f"cup exponent {d} is not a nonnegative integer")
+    fixed = fixed_indices(w, g)
+    if g not in sectors(w) or d > len(fixed) - 1:
+        return Fraction(0), None
+    excess = fixed - (fixed_indices(w, g0) & fixed_indices(w, g1))
+    k = obstruction_set(w, g0, g1, frac(-g)) | excess
+    return Fraction(math.prod(w[i] for i in k)), BasisClass(g, int(d))
 
 
 def falling_factorial(x: Fraction, n: int) -> Fraction:

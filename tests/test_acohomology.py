@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from _oracles import cup_basis_reference, obstruction_set
+from conftest import SUITE
 from orbimirror import (
     BasisClass,
     Weights,
@@ -12,7 +14,6 @@ from orbimirror import (
     cup_basis,
     degree,
     gram_matrix,
-    obstruction_set,
     ordered_basis,
     pairing,
     unit,
@@ -99,6 +100,21 @@ def test_obstruction_set_examples():
         assert obstruction_set(w, F(0), g, inv) == frozenset()
     with pytest.raises(ValueError):
         obstruction_set(w, F(1, 3), F(1, 3), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "wt",
+    SUITE + [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16)],
+    ids=lambda t: "w" + "_".join(map(str, t)),
+)
+def test_cup_matches_obstruction_set_formula(wt):
+    # The carry rule against the obstruction set plus the excess fixed
+    # locus, on every ordered pair of basis classes.
+    w = Weights(wt)
+    basis = ordered_basis(w)
+    for a in basis:
+        for b in basis:
+            assert cup_basis(w, a, b) == cup_basis_reference(w, a, b), (a, b)
 
 
 def test_cup_examples():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +49,23 @@ def test_weights_are_immutable():
     # Equality and hashing read the weights alone.
     assert w == Weights([2, 4]) and hash(w) == hash((2, 4))
     assert w != Weights(4, 2) and w != Weights(1, 5)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_weights_copy_and_pickle(clone):
+    w = Weights(1, 2)
+    other = clone(w)
+    assert other == w and hash(other) == hash(w)
+    assert other.w == (1, 2) and other.mu == 3
+    with pytest.raises(AttributeError):
+        other.mu = 7
+    with pytest.raises(AttributeError):
+        del other.w
+    assert other.mu == 3
 
 
 def test_sectors_examples():
@@ -125,6 +145,7 @@ def test_sector_table_fields_match_definitions():
         table = sector_table(w)
         assert tuple(table) == sectors(w), wt
         values = s_sequence(w).values
+        lcm = math.lcm(*wt)
         for g, s in table.items():
             fixed = {i for i, wi in enumerate(wt) if (g * wi).denominator == 1}
             weight_product = 1
@@ -132,6 +153,8 @@ def test_sector_table_fields_match_definitions():
                 weight_product *= wt[i]
             assert s.gamma == g
             assert s.inverse == inverse_sector(g)
+            assert s.parts == tuple(lcm * frac(g * wi) for wi in wt)
+            assert all(type(p) is int for p in s.parts)
             assert s.fixed == fixed
             assert s.age == sum((frac(g * wi) for wi in wt), F(0))
             assert s.dim == len(fixed) - 1

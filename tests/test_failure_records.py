@@ -8,10 +8,12 @@ writes the records as JSON).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from orbimirror import Weights, acohomology, bside, check_classical, check_quantum
-from orbimirror import cli, run_selftest, selftest
+from orbimirror import Weights, acohomology, aquantum, bside, check_classical, check_quantum
+from orbimirror import cli, run_selftest, sector_table, selftest
 
 
 def _by_check(report) -> dict:
@@ -136,15 +138,25 @@ POWER_MU = [("check", "hyperplane_power_mu"), ("detail", "(eta_1^1)^mu != Q * pr
     ids=["extra_index", "extra_index_one_order"],
 )
 def test_selftest_failure_records(monkeypatch, asymmetric, expected):
-    # One extra obstruction index, below every cup product route; with
-    # ``asymmetric`` only for ``g0 < g1``, which also breaks commutativity.
-    obstruction_set = acohomology.obstruction_set
+    # One extra obstruction index on the last coordinate, at both cup product
+    # routes selftest reaches (its ring checks and the hyperplane action):
+    # each nonzero product where that coordinate does not carry gains a
+    # factor w[-1].  With ``asymmetric`` only for ``g0 < g1``, which also
+    # breaks commutativity.
+    cup_basis = acohomology.cup_basis
 
-    def with_extra_index(w, g0, g1, ginf):
-        extra = {len(w) - 1} if g0 < g1 or not asymmetric else set()
-        return obstruction_set(w, g0, g1, ginf) | extra
+    def with_extra_index(w, a, b):
+        coeff, target = cup_basis(w, a, b)
+        table = sector_table(w)
+        last = len(w) - 1
+        part = table[a.gamma].parts[last] + table[b.gamma].parts[last]
+        carries = part >= math.lcm(*w)
+        if target is not None and not carries and (a.gamma < b.gamma or not asymmetric):
+            coeff *= w[last]
+        return coeff, target
 
-    monkeypatch.setattr(acohomology, "obstruction_set", with_extra_index)
+    monkeypatch.setattr(selftest, "cup_basis", with_extra_index)
+    monkeypatch.setattr(aquantum, "cup_basis", with_extra_index)
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == expected

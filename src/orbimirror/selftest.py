@@ -102,8 +102,9 @@ def _check_ring(report: CheckReport, prods, metric, labels, names) -> None:
                     check=associative,
                     triple=triple,
                 )
-                lhs = 0 if ab is None else c_ab * metric[ab][r]
-                rhs = 0 if bc is None else c_bc * metric[p][bc]
+                # The metric is sparse: multiply only by its nonzero entries.
+                lhs = 0 if ab is None or not metric[ab][r] else c_ab * metric[ab][r]
+                rhs = 0 if bc is None or not metric[p][bc] else c_bc * metric[p][bc]
                 report.expect(lhs == rhs, check=frobenius, triple=triple)
 
 
@@ -119,9 +120,15 @@ def _check_cup_ring(w: Weights, report: CheckReport) -> None:
             check="cup_unit",
             cls=labels[p],
         )
-    # Each product as (coeff, target position), with (0, None) for zero.
+    # Each product as (coeff, target position), with (0, None) for zero.  A
+    # cup coefficient is a product of weights, so the ring laws compare ints;
+    # one that is not an integer stays a Fraction and fails them as such.
     prods = [
-        [(0, None) if t is None or not c else (c, index[t]) for c, t in row]
+        [
+            (0, None) if t is None or not c
+            else (c.numerator if c.denominator == 1 else c, index[t])
+            for c, t in row
+        ]
         for row in cups
     ]
     _check_ring(

@@ -57,6 +57,28 @@ data, every coefficient solved is stored in it, and ``reconstruct`` returns
 its nonzero entries.  ``wdvv_residual`` does not use the rule, so a residual
 sweep stays an independent check of the solver, and of the rule itself.
 
+Integer layer.  The solver runs on ``int`` numerators.  With
+``P = prod(w)`` its memo holds ``N(x) = A(x) P^(|x| + 2)``; the inverse
+metric entries ``g^{aa*}`` are integers (products of weights), and the cubic
+data enters as ``A P^5``.  In a chain equation every product of two known
+terms has its ``P`` powers summing to ``|alpha| + 10``, as does the pivot
+times the unknown, so ``N`` of the unknown is the integer sum of
+``binom g^{aa*} N N`` over the known terms divided by ``g^{aa*} N`` of the
+pivot's cubic datum.  The scaling step reads
+``N(x + e_1) = N(x) P D d(x) / (D mu)``.  Each is one ``divmod``; a
+remainder raises ``InternalConsistencyError`` (exit 3), and there is no
+fallback to ``Fraction``.  ``reconstruct`` makes the one ``Fraction`` view,
+``N(x) / P^(|x| + 2)``, when it hands the memo to ``Potential``.  The
+bound: the scaling division is always exact, because by the charge rule
+``d(x) / mu`` is an integer minus ``sum_k x_k s(k)``, whose denominator
+divides ``D``, which divides ``P``.  A pivot is ``g^{aa*}`` times a cubic
+datum, a ratio of weight powers, so the recursion alone shows only that
+every ``A(x)`` lies in ``Z[1/P]``: each chain step may add the ``P``-adic
+valuation of its pivot to the exponent.  That ``|x| + 2`` suffices is not
+proved; it holds on every vector the tests reconstruct, and ``(2,3,4,5,7)``
+at length 5 needs exactly ``P^(|x| + 2)``.  A vector that needed more would
+stop with exit 3, not return a wrong number.
+
 Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 ``S(i, j, k, l) - S(j, k, i, l)``, where
 
@@ -190,19 +212,39 @@ class Potential:
 
 
 def _multi_index(alpha, mu: int) -> MultiIndex:
-    """``alpha`` as a tuple, or ``ValueError`` unless it lies in N^mu."""
+    """``alpha`` as a tuple, or ``ValueError`` unless it lies in N^mu (a
+    ``bool`` entry is refused)."""
     alpha = tuple(alpha)
-    if len(alpha) != mu or not all(isinstance(x, int) and x >= 0 for x in alpha):
+    if len(alpha) != mu or not all(_is_index(x) and x >= 0 for x in alpha):
         raise ValueError(f"multi-index {alpha} is not in N^{mu}")
     return alpha
 
 
+def _is_index(x) -> bool:
+    """``x`` is an ``int`` and not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @lru_cache(maxsize=None)
-def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The metric partner ``a*`` of each index ``a`` and the inverse metric
-    entry ``1 / g(e_a, e_{a*})``."""
+    entry ``1 / g(e_a, e_{a*})``, an integer: a product of weights."""
     dual, entry = bside.metric_diagonal(w)
-    return dual, tuple(1 / entry[b] for b in dual)
+    return dual, tuple(
+        _exact(entry[b].denominator, entry[b].numerator, "inverse metric entry", b)
+        for b in dual
+    )
+
+
+def _exact(num: int, den: int, *where) -> int:
+    """``num / den``; ``InternalConsistencyError`` naming ``where`` if the
+    division leaves a remainder."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InternalConsistencyError(
+            f"{' '.join(map(str, where))}: {num} / {den} is not an integer"
+        )
+    return quotient
 
 
 def _bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
@@ -231,7 +273,11 @@ def _sub_indices(alpha: MultiIndex):
 
 
 class _Reconstructor:
-    """Memoized coefficient solver; see the module docstring for the rules."""
+    """Memoized coefficient solver in ``int``; see the module docstring for
+    the rules and the integer layer.
+
+    ``memo[x]`` is the numerator ``N(x) = A(x) P^(|x| + 2)``, ``P = prod(w)``.
+    """
 
     def __init__(self, w: Weights):
         if w.mu < 2:
@@ -240,10 +286,15 @@ class _Reconstructor:
         self.mu = w.mu
         self.dual, self.ginv = _metric_diagonal(w)
         self.degrees = _degree_table(w)
+        self.scale = math.prod(w)
         # Every coefficient solved so far, seeded with the nonzero cubic data.
         zero = (0,) * w.mu
-        self.memo: dict[MultiIndex, Fraction] = {
-            _bump(zero, *triple): value for triple, value in initial_coeffs(w).items()
+        cube = self.scale**5
+        self.memo: dict[MultiIndex, int] = {
+            _bump(zero, *triple): _exact(
+                value.numerator * cube, value.denominator, "cubic datum", triple
+            )
+            for triple, value in initial_coeffs(w).items()
         }
 
     # -- basic rules ------------------------------------------------------
@@ -255,21 +306,26 @@ class _Reconstructor:
             return False
         return _scaled_weight(self.degrees, alpha) >= 0
 
-    def coeff(self, key: MultiIndex) -> Fraction:
+    def coeff(self, key: MultiIndex) -> int:
         # The memo holds admissible keys only (the nonzero cubic data passes
         # the rule), so a hit needs no rule check.
         got = self.memo.get(key)
         if got is not None:
             return got
         if not self.admissible(key):
-            return Fraction(0)
+            return 0
         if key[0] >= 1 or sum(key) == 3:
             # The flat unit, or cubic data the seed holds no value for.
-            value = Fraction(0)
+            value = 0
         elif key[1] >= 1:
+            # N(prev + e_1) = N(prev) P D d(prev) / (D mu).
             prev = (key[0], key[1] - 1) + key[2:]
-            den = self.degrees[0] * self.mu
-            value = self.coeff(prev) * Fraction(_scaled_weight(self.degrees, prev), den)
+            value = _exact(
+                self.coeff(prev) * self.scale * _scaled_weight(self.degrees, prev),
+                self.degrees[0] * self.mu,
+                "scaling step to",
+                key,
+            )
         else:
             value = self._chain(key)
         self.memo[key] = value
@@ -277,8 +333,8 @@ class _Reconstructor:
 
     # -- the WDVV chain ---------------------------------------------------
 
-    def _chain(self, key: MultiIndex) -> Fraction:
-        """Solve for ``A(key)`` with ``key`` supported on indices >= 2."""
+    def _chain(self, key: MultiIndex) -> int:
+        """Solve for ``N(key)`` with ``key`` supported on indices >= 2."""
         mu = self.mu
         support = [i for i, x in enumerate(key) if x]
         m = support[0]
@@ -310,48 +366,60 @@ class _Reconstructor:
             ):
                 break
             t_stop += 1
+        # Every equation of the chain is at ``alpha``: split it once into
+        # ``(beta, alpha - beta, binom(alpha, beta), n + |beta| - charge(beta))``,
+        # ``beta = 0`` first.  The list lives as long as the chain.
+        n = self.w.n
+        terms = [
+            (beta, tuple(map(operator.sub, alpha, beta)), binom,
+             n + sum(beta) - _charge(beta))
+            for beta, binom in _sub_indices(alpha)
+        ]
         # The equation at ``t`` reads state ``t + 1``: the step before it
         # memoised that state, or ``coeff`` settles it for ``t + 1 = t_stop``.
         for t in range(t_stop - 1, -1, -1):
-            value = self._solve_equation(alpha, m - t - 1, k_slot, (l0 + t) % mu)
+            value = self._solve_equation(terms, m - t - 1, k_slot, (l0 + t) % mu)
             self.memo[state_key(t)] = value
         return value
 
-    def _solve_equation(self, alpha: MultiIndex, j: int, k: int, l: int) -> Fraction:
-        """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at ``alpha``.
+    def _solve_equation(self, terms: list, j: int, k: int, l: int) -> int:
+        """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at ``alpha``,
+        the ``alpha - beta`` of the first of ``terms``.
 
         The unknown ``A(alpha + e_{1+j} + e_k + e_l)`` is the left-side term
         at ``beta = 0``; every other term is known, including the other
         top-length one ``A(alpha + e_j + e_k + e_{(1+l) mod mu})`` (right side,
-        ``beta = alpha``).
+        ``beta = alpha``).  On numerators the ``P`` powers cancel: ``N`` of
+        the unknown is the sum of ``binom ginv[a] N N`` over the known terms,
+        divided by ``ginv[a] N`` of the cubic datum at ``beta = 0``.
         """
         mu = self.mu
-        n = self.w.n
         dual = self.dual
         ginv = self.ginv
-        total = Fraction(0)
-        pivot = Fraction(0)
+        coeff = self.coeff
+        origin = terms[0][0]
+        total = 0
+        pivot = 0
         # Of each sum over ``a`` only the one ``a`` that gives the first
         # factor the right charge can be nonzero.
-        for beta, binom in _sub_indices(alpha):
-            gamma = tuple(x - y for x, y in zip(alpha, beta))
-            shift = n + sum(beta) - _charge(beta) - j
-            a = (shift - 1) % mu
-            f1 = self.coeff(_bump(beta, 1, j, a))
-            if not any(beta):
+        for beta, gamma, binom, shift in terms:
+            a = (shift - j - 1) % mu
+            f1 = coeff(_bump(beta, 1, j, a))
+            if beta is origin:
                 # The unknown's own term: keep its coefficient as the pivot.
                 pivot = ginv[a] * f1
             elif f1:
-                total -= binom * ginv[a] * f1 * self.coeff(_bump(gamma, dual[a], k, l))
-            a = (shift - k) % mu
-            h1 = self.coeff(_bump(beta, j, k, a))
+                total -= binom * ginv[a] * f1 * coeff(_bump(gamma, dual[a], k, l))
+            a = (shift - j - k) % mu
+            h1 = coeff(_bump(beta, j, k, a))
             if h1:
-                total += binom * ginv[a] * h1 * self.coeff(_bump(gamma, dual[a], 1, l))
+                total += binom * ginv[a] * h1 * coeff(_bump(gamma, dual[a], 1, l))
+        alpha = terms[0][1]
         if not pivot:
             raise InternalConsistencyError(
                 f"zero pivot in WDVV equation (1,{j},{k},{l}) at alpha={alpha}"
             )
-        return total / pivot
+        return _exact(total, pivot, "WDVV equation", (1, j, k, l), "at alpha", alpha)
 
 
 def _admissible_keys(w: Weights, max_length: int):
@@ -409,17 +477,21 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     Raises ``ValueError`` unless ``max_length`` is an ``int`` (not a
     ``bool``) of at least 3 and ``mu >= 2``; ``max_length`` is checked first.
     """
-    if not isinstance(max_length, int) or isinstance(max_length, bool) or max_length < 3:
+    if not _is_index(max_length) or max_length < 3:
         raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
     rec = _Reconstructor(w)
     # Multi-indices with a unit slot, and those the rule forces to zero, are
     # never walked.
     for key in _admissible_keys(w, max_length):
         rec.coeff(key)
-    # Drop the memoised zeros in place: ``Potential`` makes the one copy.
+    # Drop the memoised zeros and turn the numerators into their one
+    # ``Fraction`` view in place: ``Potential`` makes the one copy.
     memo = rec.memo
     for key in [key for key, value in memo.items() if not value]:
         del memo[key]
+    den = [rec.scale ** (length + 2) for length in range(max_length + 1)]
+    for key, value in memo.items():
+        memo[key] = Fraction(value, den[sum(key)])
     return Potential(weights=w, max_length=max_length, coeffs=memo)
 
 
@@ -518,9 +590,9 @@ def wdvv_residual(
     catch a wrong coefficient on either side of it.  Asking for the
     residuals in alpha-major order builds each table once.
 
-    Raises ``ValueError`` if an index is not an integer in ``[0, mu)``, if
-    ``alpha`` is not in N^mu, or if the potential is too shallow to evaluate
-    it.
+    Raises ``ValueError`` if an index is not an ``int`` (not a ``bool``) in
+    ``[0, mu)``, if ``alpha`` is not in N^mu, or if the potential is too
+    shallow to evaluate it.
     """
     mu = p.weights.mu
     tables = p._residual_tables
@@ -529,7 +601,7 @@ def wdvv_residual(
     if not checked:
         alpha = _multi_index(alpha, mu)
     for x in (i, j, k, l):
-        if not (isinstance(x, int) and 0 <= x < mu):
+        if not (_is_index(x) and 0 <= x < mu):
             raise ValueError(
                 f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
             )

@@ -6,8 +6,10 @@ ratio below is an alternative route to the sector structure constants, the
 cup product is the Chen-Ruan formula with its obstruction set, stated over
 the ``Fraction`` definitions of sectors, fixed sets and ages, and
 the WDVV residual is summed term by term over every ``beta <= alpha`` and
-every ``a``, with no index of the stored coefficients, and the multi-indices
-of one length are walked in full, with no selection rule.
+every ``a``, with no index of the stored coefficients, the multi-indices
+of one length are walked in full, with no selection rule, and the WDVV
+solver runs in ``Fraction`` arithmetic over that full walk, with the
+selection rule stated from the spectrum.
 """
 
 from __future__ import annotations
@@ -17,9 +19,19 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from orbimirror import BasisClass, Weights, age, fixed_indices, sector_dim, sectors
+from orbimirror import (
+    BasisClass,
+    InternalConsistencyError,
+    Potential,
+    Weights,
+    age,
+    fixed_indices,
+    initial_coeffs,
+    sector_dim,
+    sectors,
+)
 from orbimirror.bside import metric_diagonal
-from orbimirror.combinatorics import frac
+from orbimirror.combinatorics import frac, spectrum
 
 
 def kontsevich_numbers(dmax: int) -> dict[int, int]:
@@ -159,3 +171,117 @@ def wdvv_residual_reference(p, i: int, j: int, k: int, l: int, alpha) -> Fractio
                 if h2:
                     total -= binom * ginv[a] * h1 * h2
     return total
+
+
+class _ReferenceSolver:
+    """The WDVV solver in ``Fraction`` arithmetic: the flat unit, the
+    scaling step ``A(alpha + e_1) = A(alpha) d(alpha) / mu`` and chains of
+    WDVV equations ``(1, j, k, l)``, each isolating one unknown by a
+    ``Fraction`` division.  ``d(alpha)`` is read off the spectrum."""
+
+    def __init__(self, w: Weights):
+        self.w = w
+        self.mu = w.mu
+        self.dual, self.ginv = _inverse_metric(w)
+        self.steps = [s - 1 for s in spectrum(w)]
+        zero = (0,) * w.mu
+        self.memo = {_bump(zero, *t): value for t, value in initial_coeffs(w).items()}
+
+    def degree(self, alpha) -> Fraction:
+        """``d(alpha) = 3 - n + sum_k alpha_k (sigma(k) - 1)``."""
+        return 3 - self.w.n + sum(x * self.steps[k] for k, x in enumerate(alpha) if x)
+
+    def admissible(self, alpha) -> bool:
+        charge = sum(k * x for k, x in enumerate(alpha))
+        if charge % self.mu != (self.w.n + sum(alpha) - 3) % self.mu:
+            return False
+        return self.degree(alpha) >= 0
+
+    def coeff(self, key) -> Fraction:
+        got = self.memo.get(key)
+        if got is not None:
+            return got
+        if not self.admissible(key):
+            return Fraction(0)
+        if key[0] >= 1 or sum(key) == 3:
+            value = Fraction(0)
+        elif key[1] >= 1:
+            prev = (key[0], key[1] - 1) + key[2:]
+            value = self.coeff(prev) * self.degree(prev) / self.mu
+        else:
+            value = self._chain(key)
+        self.memo[key] = value
+        return value
+
+    def _chain(self, key) -> Fraction:
+        mu = self.mu
+        m = min(i for i, x in enumerate(key) if x)
+        rest = list(key)
+        rest[m] -= 1
+        k_slot = max(i for i, x in enumerate(rest) if x)
+        rest[k_slot] -= 1
+        l0 = max(i for i, x in enumerate(rest) if x)
+        rest[l0] -= 1
+        alpha = tuple(rest)
+
+        def state_key(t):
+            out = list(alpha)
+            out[m - t] += 1
+            out[k_slot] += 1
+            out[(l0 + t) % mu] += 1
+            return tuple(out)
+
+        t_stop = 1
+        while True:
+            kt = state_key(t_stop)
+            if (
+                kt in self.memo
+                or (m - t_stop) <= 1
+                or (l0 + t_stop) % mu <= 1
+                or self.degree(kt) < 0
+            ):
+                break
+            t_stop += 1
+        for t in range(t_stop - 1, -1, -1):
+            value = self._solve_equation(alpha, m - t - 1, k_slot, (l0 + t) % mu)
+            self.memo[state_key(t)] = value
+        return value
+
+    def _solve_equation(self, alpha, j: int, k: int, l: int) -> Fraction:
+        mu, n = self.mu, self.w.n
+        dual, ginv = self.dual, self.ginv
+        total = Fraction(0)
+        pivot = Fraction(0)
+        for beta in itertools.product(*(range(x + 1) for x in alpha)):
+            gamma = tuple(x - y for x, y in zip(alpha, beta))
+            binom = math.prod(math.comb(x, y) for x, y in zip(alpha, beta))
+            shift = n + sum(beta) - sum(i * x for i, x in enumerate(beta)) - j
+            a = (shift - 1) % mu
+            f1 = self.coeff(_bump(beta, 1, j, a))
+            if not any(beta):
+                pivot = ginv[a] * f1
+            elif f1:
+                total -= binom * ginv[a] * f1 * self.coeff(_bump(gamma, dual[a], k, l))
+            a = (shift - k) % mu
+            h1 = self.coeff(_bump(beta, j, k, a))
+            if h1:
+                total += binom * ginv[a] * h1 * self.coeff(_bump(gamma, dual[a], 1, l))
+        if not pivot:
+            raise InternalConsistencyError(
+                f"zero pivot in WDVV equation (1,{j},{k},{l}) at alpha={alpha}"
+            )
+        return total / pivot
+
+
+def reconstruct_reference(w: Weights, max_length: int) -> Potential:
+    """The potential to depth ``max_length`` by the ``Fraction`` solver,
+    over every ``alpha`` with ``alpha_0 = 0`` that passes the selection rule,
+    by length and then lexicographically."""
+    solver = _ReferenceSolver(w)
+    for length in range(4, max_length + 1):
+        for tail in compositions(length, w.mu - 1):
+            key = (0,) + tail
+            if solver.admissible(key):
+                solver.coeff(key)
+    coeffs = {key: value for key, value in solver.memo.items() if value}
+    return Potential(weights=w, max_length=max_length, coeffs=coeffs)

@@ -43,6 +43,23 @@ def suite_weights(request) -> Weights:
     return Weights(request.param)
 
 
+def pytest_addoption(parser):
+    parser.addoption("--slow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: too slow for tier-1; run with --slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: run with --slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

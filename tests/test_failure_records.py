@@ -9,6 +9,7 @@ writes the records as JSON).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -160,6 +161,40 @@ def test_selftest_failure_records(monkeypatch, asymmetric, expected):
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == expected
+
+
+def test_selftest_non_integral_cup_records(monkeypatch):
+    # The ring laws read the cup coefficients as ints; one that is not an
+    # integer (here + 1/2 for g0 < g1) must fail them, not be truncated.
+    cup_basis = acohomology.cup_basis
+
+    def plus_half(w, a, b):
+        coeff, target = cup_basis(w, a, b)
+        if target is not None and a.gamma < b.gamma:
+            coeff += Fraction(1, 2)
+        return coeff, target
+
+    monkeypatch.setattr(selftest, "cup_basis", plus_half)
+    report = run_selftest(Weights(2, 3, 4))
+    assert report.checks == 3395
+    assert _by_check(report) == {
+        "cup_unit": (6, UNIT),
+        "cup_commutative": (
+            20,
+            [("check", "cup_commutative"), ("pair", (("0", 0), ("1/4", 0)))],
+        ),
+        "cup_associative": (
+            30,
+            [
+                ("check", "cup_associative"),
+                ("triple", (("0", 0), ("0", 0), ("1/4", 0))),
+            ],
+        ),
+        "cup_frobenius": (
+            18,
+            [("check", "cup_frobenius"), ("triple", (("0", 0), ("1/4", 0), ("3/4", 0)))],
+        ),
+    }
 
 
 def test_b_ring_failure_records(monkeypatch):

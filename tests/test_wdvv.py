@@ -4,15 +4,22 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
-from _oracles import compositions, kontsevich_numbers, wdvv_residual_reference
+from _oracles import (
+    compositions,
+    kontsevich_numbers,
+    reconstruct_reference,
+    wdvv_residual_reference,
+)
 from conftest import SUITE
 from orbimirror import (
     InternalConsistencyError,
     Potential,
     Weights,
+    cli,
     initial_coeffs,
     mirror_index_map,
     ordered_basis,
@@ -255,8 +262,8 @@ def test_scaled_degree_matches_spectrum(wt):
 
 @pytest.mark.parametrize(
     "alpha",
-    [(0, 3), (0, 0, 3, 0), (-1, 2, 2), (0.5, 0.5, 2)],
-    ids=["short", "long", "negative", "non-integer"],
+    [(0, 3), (0, 0, 3, 0), (-1, 2, 2), (0.5, 0.5, 2), (0, True, 2)],
+    ids=["short", "long", "negative", "non-integer", "bool"],
 )
 def test_scaling_weight_rejects_malformed_multi_index(alpha):
     with pytest.raises(ValueError):
@@ -332,6 +339,8 @@ def test_residual_depth_guard():
         ((0, 0, 0, 0), (0.5, 0.5, 0)),
         ((0.5, 0, 0, 0), (0, 0, 0)),
         ((0, 0, 0, 0), (0, 0, 1.0)),
+        ((True, 1, 1, 1), (0, 0, 0)),
+        ((0, 0, 0, 0), (0, 0, True)),
     ],
     ids=[
         "alpha-short",
@@ -342,6 +351,8 @@ def test_residual_depth_guard():
         "alpha-non-integer",
         "index-non-integer",
         "alpha-equal-to-last-table",
+        "index-bool",
+        "alpha-bool-equal-to-last-table",
     ],
 )
 def test_residual_rejects_malformed_input(eq, alpha):
@@ -413,7 +424,7 @@ def test_potential_is_read_only():
     source[key] += 1
     assert hand == p
     # Every key must lie in N^mu, as ``coeff`` and the residual tables read it.
-    for bad in [(0, 0, 0, 0, 0, 3), (-1, 0, 0, 2, 2), (0.5, 0, 0, 2, 2)]:
+    for bad in [(0, 0, 0, 0, 0, 3), (-1, 0, 0, 2, 2), (0.5, 0, 0, 2, 2), (0, 0, True, 2, 2)]:
         with pytest.raises(ValueError):
             Potential(w, 5, {**p.coeffs, bad: F(1)})
     # A sweep caches tables on ``p``; a replaced potential builds its own.
@@ -457,6 +468,75 @@ def test_random_weight_vectors():
     check()
 
 
+def _case(wt, max_length, *marks):
+    return pytest.param(wt, max_length, marks=marks, id=f"{_wt_id(wt)}-L{max_length}")
+
+
+# The reconstruct-depth ladder (every order of (2,3,4), the rung the
+# benchmark seed shuffles) and vectors of other shapes and depths.  The
+# three marked slow take about 2.5, 3 and 3 s, mostly in the oracle.
+ORACLE_CASES = [
+    _case((1, 1, 1), 16),
+    _case((1, 1, 1, 1), 10),
+    _case((2, 3, 5), 7),
+    _case((4, 6), 7),
+    _case((1, 2, 2, 3, 3, 3), 5),
+    *[_case(wt, 6) for wt in sorted(set(itertools.permutations((2, 3, 4))))],
+    _case((2, 3, 5), 8),
+    _case((1, 2, 2, 3, 3, 3), 6),
+    _case((3, 4), 12),
+    _case((1, 2), 14),
+    _case((4, 6), 9),
+    _case((1, 3, 5), 7),
+    _case((2, 2, 3), 8),
+    _case((1, 1, 2, 2), 8),
+    _case((2, 3, 4, 5, 7), 5),
+    _case((1, 4, 5, 7, 8), 5, pytest.mark.slow),
+    _case((5, 7), 10, pytest.mark.slow),
+    _case((1, 2, 2, 3, 3, 3), 7, pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("wt, max_length", ORACLE_CASES)
+def test_reconstruct_matches_fraction_oracle(wt, max_length):
+    # The integer solver gives the Fraction solver's potential, and every
+    # coefficient is an integer over P^(|alpha| + 2), P = prod(w).
+    w = Weights(wt)
+    p = reconstruct(w, max_length)
+    assert p.nonzero_items() == reconstruct_reference(w, max_length).nonzero_items()
+    scale = math.prod(wt)
+    for alpha, value in p.coeffs.items():
+        assert (value * scale ** (sum(alpha) + 2)).denominator == 1, alpha
+
+
+def test_denominator_bound_is_tight():
+    # (2,3,4,5,7) at length 5 has a coefficient that needs all of
+    # P^(|alpha| + 2).
+    p = reconstruct(Weights(2, 3, 4, 5, 7), 5)
+    assert any((value * 840 ** (sum(alpha) + 1)).denominator != 1
+               for alpha, value in p.coeffs.items())
+
+
+@pytest.mark.parametrize(
+    "factor, where",
+    [(F(1, 7), "cubic datum"), (7, "WDVV equation")],
+    ids=["datum-over-7", "pivot-times-7"],
+)
+def test_inexact_division_is_an_internal_error(monkeypatch, capsys, factor, where):
+    # P = 30 has no factor 7.  A cubic datum over 7 has no numerator over
+    # P^5; the same datum times 7 is the pivot of a chain equation, which
+    # then leaves a remainder.  Neither falls back to Fraction.
+    w = Weights(2, 3, 5)
+    table = dict(initial_coeffs(w))
+    table[(1, 2, 9)] *= factor
+    monkeypatch.setattr(wdvv, "initial_coeffs", lambda _: MappingProxyType(table))
+    with pytest.raises(InternalConsistencyError, match=where):
+        reconstruct(w, 6)
+    assert cli.main(["reconstruct", "--weights", "2,3,5", "--max-length", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and where in err
+
+
 def test_reconstruct_input_validation():
     with pytest.raises(ValueError):
         reconstruct(Weights(1), 5)
@@ -489,8 +569,8 @@ def test_coeff_range_guards():
 
 @pytest.mark.parametrize(
     "alpha",
-    [(0, 3), (0, 0, 3, 0), (-1, 2, 2), (0.5, 0.5, 2), (0, F(1), 2)],
-    ids=["short", "long", "negative", "non-integer", "fraction"],
+    [(0, 3), (0, 0, 3, 0), (-1, 2, 2), (0.5, 0.5, 2), (0, F(1), 2), (False, 0, 3)],
+    ids=["short", "long", "negative", "non-integer", "fraction", "bool"],
 )
 def test_coeff_rejects_malformed_multi_index(alpha):
     p = reconstruct(Weights(1, 1, 1), 5)

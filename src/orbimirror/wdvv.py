@@ -212,17 +212,15 @@ class Potential:
 
 
 def _multi_index(alpha, mu: int) -> MultiIndex:
-    """``alpha`` as a tuple, or ``ValueError`` unless it lies in N^mu (a
-    ``bool`` entry is refused)."""
+    """``alpha`` as a tuple, or ``ValueError`` unless it lies in N^mu.
+
+    Here and in every index check of this module an index is a plain
+    ``int``: a ``bool`` or another subclass of ``int`` is refused.
+    """
     alpha = tuple(alpha)
-    if len(alpha) != mu or not all(_is_index(x) and x >= 0 for x in alpha):
+    if len(alpha) != mu or not all(type(x) is int and x >= 0 for x in alpha):
         raise ValueError(f"multi-index {alpha} is not in N^{mu}")
     return alpha
-
-
-def _is_index(x) -> bool:
-    """``x`` is an ``int`` and not a ``bool``."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @lru_cache(maxsize=None)
@@ -263,13 +261,8 @@ def _charge(alpha: MultiIndex) -> int:
 
 def _sub_indices(alpha: MultiIndex):
     """All ``beta <= alpha`` componentwise with the product of binomials."""
-    ranges = [range(x + 1) for x in alpha]
-    for beta in iter_product(*ranges):
-        b = 1
-        for x, y in zip(alpha, beta):
-            if y:
-                b *= math.comb(x, y)
-        yield beta, b
+    for beta in iter_product(*[range(x + 1) for x in alpha]):
+        yield beta, math.prod(map(math.comb, alpha, beta))
 
 
 class _Reconstructor:
@@ -368,11 +361,13 @@ class _Reconstructor:
             t_stop += 1
         # Every equation of the chain is at ``alpha``: split it once into
         # ``(beta, alpha - beta, binom(alpha, beta), n + |beta| - charge(beta))``,
-        # ``beta = 0`` first.  The list lives as long as the chain.
+        # ``beta = 0`` first; ``|beta| - charge(beta)`` is ``-sum_k (k - 1)
+        # beta_k``.  The list lives as long as the chain.
         n = self.w.n
+        lowered = range(-1, mu - 1)
         terms = [
             (beta, tuple(map(operator.sub, alpha, beta)), binom,
-             n + sum(beta) - _charge(beta))
+             n - sum(map(operator.mul, lowered, beta)))
             for beta, binom in _sub_indices(alpha)
         ]
         # The equation at ``t`` reads state ``t + 1``: the step before it
@@ -474,10 +469,10 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     >>> [p.coeff((0, k)) for k in range(3, 6)]
     [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
 
-    Raises ``ValueError`` unless ``max_length`` is an ``int`` (not a
+    Raises ``ValueError`` unless ``max_length`` is a plain ``int`` (not a
     ``bool``) of at least 3 and ``mu >= 2``; ``max_length`` is checked first.
     """
-    if not _is_index(max_length) or max_length < 3:
+    if type(max_length) is not int or max_length < 3:
         raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
     rec = _Reconstructor(w)
     # Multi-indices with a unit slot, and those the rule forces to zero, are
@@ -590,9 +585,9 @@ def wdvv_residual(
     catch a wrong coefficient on either side of it.  Asking for the
     residuals in alpha-major order builds each table once.
 
-    Raises ``ValueError`` if an index is not an ``int`` (not a ``bool``) in
-    ``[0, mu)``, if ``alpha`` is not in N^mu, or if the potential is too
-    shallow to evaluate it.
+    Raises ``ValueError`` if an index is not a plain ``int`` (not a
+    ``bool``) in ``[0, mu)``, if ``alpha`` is not in N^mu, or if the
+    potential is too shallow to evaluate it.
     """
     mu = p.weights.mu
     tables = p._residual_tables
@@ -601,7 +596,7 @@ def wdvv_residual(
     if not checked:
         alpha = _multi_index(alpha, mu)
     for x in (i, j, k, l):
-        if not (_is_index(x) and 0 <= x < mu):
+        if not (type(x) is int and 0 <= x < mu):
             raise ValueError(
                 f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
             )

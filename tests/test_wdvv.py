@@ -513,7 +513,8 @@ def test_denominator_bound_is_tight():
     # (2,3,4,5,7) at length 5 has a coefficient that needs all of
     # P^(|alpha| + 2).
     p = reconstruct(Weights(2, 3, 4, 5, 7), 5)
-    assert any((value * 840 ** (sum(alpha) + 1)).denominator != 1
+    scale = math.prod((2, 3, 4, 5, 7))
+    assert any((value * scale ** (sum(alpha) + 1)).denominator != 1
                for alpha, value in p.coeffs.items())
 
 

@@ -424,7 +424,8 @@ def test_potential_is_read_only():
     source[key] += 1
     assert hand == p
     # Every key must lie in N^mu, as ``coeff`` and the residual tables read it.
-    for bad in [(0, 0, 0, 0, 0, 3), (-1, 0, 0, 2, 2), (0.5, 0, 0, 2, 2), (0, 0, True, 2, 2)]:
+    bad_keys = [(0, 0, 0, 0, 0, 3), (-1, 0, 0, 2, 2), (0.5, 0, 0, 2, 2), (0, 0, True, 2, 2)]
+    for bad in bad_keys:
         with pytest.raises(ValueError):
             Potential(w, 5, {**p.coeffs, bad: F(1)})
     # A sweep caches tables on ``p``; a replaced potential builds its own.
@@ -474,7 +475,7 @@ def _case(wt, max_length, *marks):
 
 # The reconstruct-depth ladder (every order of (2,3,4), the rung the
 # benchmark seed shuffles) and vectors of other shapes and depths.  The
-# three marked slow take about 2.5, 3 and 3 s, mostly in the oracle.
+# three marked slow take about 2.7, 3.2 and 2.2 s, mostly in the oracle.
 ORACLE_CASES = [
     _case((1, 1, 1), 16),
     _case((1, 1, 1, 1), 10),

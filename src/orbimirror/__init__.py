@@ -4,7 +4,6 @@ reconstruction.  All arithmetic is exact rational arithmetic.
 """
 
 from .combinatorics import (
-    SValueSequence,
     Sector,
     SectorData,
     Weights,
@@ -43,7 +42,6 @@ __all__ = [
     "InternalConsistencyError",
     "MirrorIndexMap",
     "Potential",
-    "SValueSequence",
     "Sector",
     "SectorData",
     "Weights",

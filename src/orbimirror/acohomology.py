@@ -31,6 +31,7 @@ from types import MappingProxyType
 
 from .combinatorics import (
     Sector,
+    SectorData,
     Weights,
     frac,
     sector_dim,
@@ -118,6 +119,17 @@ def gram_matrix(w: Weights) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(pairing(w, a, b) for b in basis) for a in basis)
 
 
+def basis_sector(w: Weights, c: BasisClass) -> SectorData:
+    """The sector record of the basis class ``c = eta_g^d``.
+
+    Raises ``ValueError`` unless ``g`` is a sector and ``0 <= d <= dim(g)``.
+    """
+    s = sector_table(w).get(c.gamma)
+    if s is None or not 0 <= c.d <= s.dim:
+        raise ValueError(f"eta_{c.gamma}^{c.d} is not a basis class of P{w.w}")
+    return s
+
+
 def cup_basis(
     w: Weights, a: BasisClass, b: BasisClass
 ) -> tuple[Fraction, BasisClass | None]:
@@ -126,17 +138,16 @@ def cup_basis(
     By the carry rule: ``prod(w_i for i in K) * eta_g^{d0 + d1 + |K|}`` on
     ``g = frac(g0 + g1)``, ``K = {i : p0_i + p1_i >= D}``.  Returns
     ``(0, None)`` when ``g`` is not a sector or the exponent exceeds its
-    dimension.
+    dimension.  Raises ``ValueError`` if ``a`` or ``b`` is not a basis class.
 
     >>> w = Weights(1, 2, 2, 3, 3, 3)
     >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
     (Fraction(4, 1), BasisClass(gamma=Fraction(2, 3), d=2))
     """
-    table = sector_table(w)
-    s0, s1 = table[a.gamma], table[b.gamma]
+    s0, s1 = basis_sector(w, a), basis_sector(w, b)
     g = frac(s0.gamma + s1.gamma)
     # g is a sector exactly when some coordinate is fixed by it.
-    s = table.get(g)
+    s = sector_table(w).get(g)
     if s is None:
         return Fraction(0), None
     lcm = math.lcm(*w)

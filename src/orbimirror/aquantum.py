@@ -19,15 +19,15 @@ gives the two power relations tested in the suite:
 
 with ``s(g) = prod_i w_i^{-ceil(gamma(g) w_i)}``.
 
-The degree-one 3-point numbers fall into three classes (vanishing /
-classical / quantum) decided by an exact integer congruence mod ``mu``; the
-surviving values are products of inverse weights over fixed-index sets.
+The degree-one 3-point numbers are the pairing of the hyperplane action:
+``((eta_1^1, a, b)) = g(eta_1^1 * a, b)`` at ``Q = 1``; :func:`three_point`
+reads them off :func:`hyperplane_quantum_mult`.  Both raise ``ValueError``
+on a class outside the basis.
 """
 
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from fractions import Fraction
 
@@ -42,58 +42,30 @@ from .acohomology import (
     BasisClass,
     CohClass,
     basis_index,
+    basis_sector,
     cup_basis,
     ordered_basis,
+    pairing,
 )
-from .errors import InternalConsistencyError
 from .linalg import Matrix, zeros
 
 
 _HYPERPLANE = BasisClass(Fraction(0), 1)
 
 
-class TripleKind(enum.Enum):
-    VANISHING = "VANISHING"
-    CLASSICAL = "CLASSICAL"
-    QUANTUM = "QUANTUM"
-
-
-def classify_triple(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> TripleKind:
-    """Sort the triple ``(eta_1^1, eta_g^d, eta_g2^d2)`` into its case.
-
-    ``e = 1 + deg/2 + deg'/2 - n``, with ``deg/2 = d + age(g)`` read from
-    the sector table, is ``mu`` times the hyperplane degree of the one curve
-    class that can support the invariant.  The classifier
-    ``t = e + mu*(gamma(g^-1) + gamma(g2^-1))`` is always an exact integer.
-    The invariant vanishes unless ``t = 0 mod mu``; among the survivors the
-    degree-0 (classical) ones are exactly those with ``e = 0``.
-    """
-    table = sector_table(w)
-    s, s2 = table[g], table[g2]
-    e = 1 + d + s.age + d2 + s2.age - w.n
-    t = e + w.mu * (s.inverse + s2.inverse)
-    if t.denominator != 1:
-        raise InternalConsistencyError(f"classifier {t} is not an integer")
-    if int(t) % w.mu != 0:
-        return TripleKind.VANISHING
-    if e == 0:
-        return TripleKind.CLASSICAL
-    return TripleKind.QUANTUM
-
-
 def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
-    """The degree-one 3-point number ``((eta_1^1, eta_g^d, eta_g2^d2))``.
+    """The degree-one 3-point number ``((eta_1^1, eta_g^d, eta_g2^d2))``: the
+    pairing of ``eta_1^1 * eta_g^d`` at ``Q = 1`` with ``eta_g2^d2``.
+
+    Raises ``ValueError`` if either class is not a basis class.
 
     >>> three_point(Weights(1, 2), Fraction(0), 1, Fraction(1, 2), 0)
     Fraction(1, 4)
     """
-    kind = classify_triple(w, g, d, g2, d2)
-    if kind is TripleKind.VANISHING:
-        return Fraction(0)
-    table = sector_table(w)
-    if kind is TripleKind.CLASSICAL:
-        return table[g].inv_weight_product
-    return table[g].inv_weight_product * table[g2].inv_weight_product
+    other = BasisClass(g2, d2)
+    basis_sector(w, other)
+    image = hyperplane_quantum_mult(w, CohClass.line(BasisClass(g, d)))
+    return image.scalar * pairing(w, image.bc, other)
 
 
 def sector_constant(w: Weights, g: Sector) -> Fraction:
@@ -114,10 +86,11 @@ def hyperplane_quantum_mult(w: Weights, c: CohClass) -> CohClass:
 
     Below a sector's top power this is the classical cup shift; on the top
     power it jumps to the next sector with the ``Q`` monomial described in
-    the module docstring.
+    the module docstring.  Raises ``ValueError`` if ``c.bc`` is not a basis
+    class.
     """
     table = sector_table(w)
-    sector = table[c.bc.gamma]
+    sector = basis_sector(w, c.bc)
     if c.bc.d < sector.dim:
         coeff, target = cup_basis(w, _HYPERPLANE, c.bc)
         return CohClass(target, c.scalar * coeff, c.qexp)

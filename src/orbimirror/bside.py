@@ -6,7 +6,8 @@ The whole structure is combinatorial.  An integer-vector recursion
     a(0) = 0,  a(k+1) = a(k) + e_{i(k)},
     i(k)  = smallest j attaining min_j a(k)_j / w_j
 
-produces monomial exponents whose running minima reproduce the s-sequence.
+produces monomial exponents whose running minima reproduce the s-sequence;
+:func:`omega_frame` returns them, ``a(0), ..., a(2 mu - 2)``, as a tuple.
 The rank-``mu`` quotient has basis ``[omega_0], ..., [omega_{mu-1}]`` with
 
 * product: ``[omega_i] * [omega_j]`` is a pure weight power times
@@ -20,13 +21,12 @@ The rank-``mu`` quotient has basis ``[omega_0], ..., [omega_{mu-1}]`` with
 
 ``I(.)``, ``k_min`` and the inverse-weight products are read from
 :func:`~orbimirror.combinatorics.sector_table` at the s-values, never at
-source indices, so every output is independent of how ties inside the
-s-sequence are broken.
+the recursion's coordinates ``i(k)``, so every output depends only on the
+multiset of weights, not on their order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,25 +34,12 @@ from .combinatorics import SectorData, Weights, s_sequence, sector_table, spectr
 from .linalg import Matrix, zeros
 
 
-@dataclass(frozen=True)
-class OmegaFrame:
-    """The exponent recursion of one weight vector.
-
-    ``a`` holds ``a(0), ..., a(2 mu - 2)``: products read ``a(i + j)``
-    before reduction mod ``mu``.  The s-values, the spectrum and ``k_min``
-    are not copied here; read them from ``s_sequence``, ``spectrum`` and
-    ``sector_table``.
-    """
-
-    weights: Weights
-    a: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
-def omega_frame(w: Weights) -> OmegaFrame:
-    """Run the exponent recursion and assemble the frame.
+def omega_frame(w: Weights) -> tuple[tuple[int, ...], ...]:
+    """The exponents ``a(0), ..., a(2 mu - 2)`` of the recursion: products
+    read ``a(i + j)`` before reduction mod ``mu``.
 
-    >>> omega_frame(Weights(1, 2)).a
+    >>> omega_frame(Weights(1, 2))
     ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
     """
     mu = w.mu
@@ -66,14 +53,14 @@ def omega_frame(w: Weights) -> OmegaFrame:
         a.append(nxt)
         best = min(Fraction(nxt[j], w[j]) for j in range(len(w)))
         idx.append(next(j for j in range(len(w)) if Fraction(nxt[j], w[j]) == best))
-    return OmegaFrame(weights=w, a=tuple(a))
+    return tuple(a)
 
 
 @lru_cache(maxsize=None)
 def _index_sectors(w: Weights) -> tuple[SectorData, ...]:
     """Sector-table record of each s-value ``s(k)``, for ``k = 0 .. mu - 1``."""
     table = sector_table(w)
-    return tuple(table[v] for v in s_sequence(w).values)
+    return tuple(table[v] for v in s_sequence(w))
 
 
 def _weight_power(w: Weights, exponent: tuple[int, ...]) -> Fraction:
@@ -94,7 +81,7 @@ def product(w: Weights, i: int, j: int) -> tuple[Fraction, int]:
     >>> product(Weights(1, 2), 1, 1)
     (Fraction(1, 2), 2)
     """
-    a = omega_frame(w).a
+    a = omega_frame(w)
     secs = _index_sectors(w)
     tgt = (i + j) % w.mu
     exponent = tuple(

@@ -205,7 +205,7 @@ def _bside(cfg: argparse.Namespace):
     w = cfg.weights
     a0 = bside.a0_matrix(w)
     fields = {
-        "svalues": [_r(v) for v in s_sequence(w).values],
+        "svalues": [_r(v) for v in s_sequence(w)],
         "sigma": [_r(v) for v in spectrum(w)],
         "metric": _flat(bside.metric_matrix(w)),
         "a0": _flat(a0),

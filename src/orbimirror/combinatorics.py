@@ -9,7 +9,8 @@ holds the combinatorial layer both sides are built on:
   ``w_i``-th roots of unity, recorded by their argument),
 * the ``age`` grading and the fixed-index set of each sector,
 * the nondecreasing *s-sequence*: the sorted multiset of all fractions
-  ``l / w_i`` with ``0 <= l < w_i`` (``mu`` values in total),
+  ``l / w_i`` with ``0 <= l < w_i`` (``mu`` values in total), a plain
+  tuple of values; sorting a multiset leaves no tie order to choose,
 * the rational *spectrum* ``sigma(k) = k - mu * s(k)``,
 * ``k_min``: the first position of a sector's value inside the s-sequence,
   computed in closed form,
@@ -133,39 +134,15 @@ def age(w: Weights, g: Sector) -> Fraction:
     return sum((frac(g * wi) for wi in w), Fraction(0))
 
 
-@dataclass(frozen=True)
-class SValueSequence:
-    """The sorted multiset of all fractions ``l / w_i``, with provenance.
-
-    ``values[k]`` is the k-th smallest element; ``sources[k]`` records which
-    weight index the element came from.  Among equal values the source order
-    is a free choice; everything downstream depends on ``values`` only.
-    """
-
-    values: tuple[Fraction, ...]
-    sources: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def s_sequence(w: Weights, reverse_ties: bool = False) -> SValueSequence:
-    """Sorted disjoint union of ``{l / w_i : 0 <= l < w_i}`` over all ``i``.
+def s_sequence(w: Weights) -> tuple[Fraction, ...]:
+    """Sorted disjoint union of ``{l / w_i : 0 <= l < w_i}`` over all ``i``:
+    ``mu`` values, the k-th smallest at position k.
 
-    ``reverse_ties`` flips the source order among equal values; the value
-    sequence itself is unaffected.
-
-    >>> s_sequence(Weights(1, 2)).values
+    >>> s_sequence(Weights(1, 2))
     (Fraction(0, 1), Fraction(0, 1), Fraction(1, 2))
     """
-    items = [
-        (Fraction(l, wi), (-i if reverse_ties else i))
-        for i, wi in enumerate(w)
-        for l in range(wi)
-    ]
-    items.sort()
-    return SValueSequence(
-        values=tuple(v for v, _ in items),
-        sources=tuple((-i if reverse_ties else i) for _, i in items),
-    )
+    return tuple(sorted(Fraction(l, wi) for wi in w for l in range(wi)))
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +156,7 @@ def spectrum(w: Weights) -> tuple[Fraction, ...]:
     (Fraction(0, 1), Fraction(1, 1), Fraction(1, 2))
     """
     mu = w.mu
-    vals = s_sequence(w).values
+    vals = s_sequence(w)
     return tuple(Fraction(k) - mu * vals[k] for k in range(mu))
 
 

@@ -222,11 +222,18 @@ def check_quantum(w: Weights) -> CheckReport:
         index=xi.forward[unit_class],
     )
 
-    for a, b, where in _basis_pairs(w, xi):
+    # Column a of A0 is mu * (eta_1^1 * a) at Q = 1, so the 3-point number
+    # ((eta_1^1, a, b)) = g(eta_1^1 * a, b) is (A0^T G)[a][b] / mu; both
+    # tables are already at B indices.
+    images = [
+        [(r, a0_a[r][j] / w.mu) for r in range(w.mu) if a0_a[r][j]] for j in range(w.mu)
+    ]
+    for _, _, where in _basis_pairs(w, xi):
+        ia, ib = where["indices"]
         report.compare(
             "three_point_tensor",
-            aquantum.three_point(w, a.gamma, a.d, b.gamma, b.d),
-            bside.three_tensor(w, *where["indices"]),
+            sum((c * gram_a[r][ib] for r, c in images[ia]), Fraction(0)),
+            bside.three_tensor(w, ia, ib),
             **where,
         )
     return report

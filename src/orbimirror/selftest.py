@@ -182,28 +182,29 @@ def _check_b_ring(w: Weights, report: CheckReport) -> None:
 
 def _check_tie_invariance(w: Weights, report: CheckReport) -> None:
     forward = s_sequence(w)
-    reverse = s_sequence(w, reverse_ties=True)
+    # The multiset sorted with equal values in reversed weight order.
+    keyed = sorted((Fraction(l, wi), -i) for i, wi in enumerate(w) for l in range(wi))
+    reverse = tuple(v for v, _ in keyed)
     report.expect(
-        forward.values == reverse.values,
+        forward == reverse,
         check="tie_invariant_values",
         detail="sorted value sequence changed under reversed tie order",
     )
     kmin_fwd = {}
     kmin_rev = {}
-    for k, v in enumerate(forward.values):
+    for k, v in enumerate(forward):
         kmin_fwd.setdefault(v, k)
-    for k, v in enumerate(reverse.values):
+    for k, v in enumerate(reverse):
         kmin_rev.setdefault(v, k)
     report.expect(kmin_fwd == kmin_rev, check="tie_invariant_kmin")
     per_position = [
-        fixed_indices(w, v) == fixed_indices(w, rv)
-        for v, rv in zip(forward.values, reverse.values)
+        fixed_indices(w, v) == fixed_indices(w, rv) for v, rv in zip(forward, reverse)
     ]
     report.expect(all(per_position), check="tie_invariant_fixed_sets")
 
 
 def _check_index_identities(w: Weights, report: CheckReport) -> None:
-    values = s_sequence(w).values
+    values = s_sequence(w)
     sig = spectrum(w)
     mu = w.mu
     # Each class eta_g^d with its B index k_min(g^-1) + d.

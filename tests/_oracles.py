@@ -5,7 +5,9 @@ plane curves come from the classical recursion, the falling-factorial
 ratio below is an alternative route to the sector structure constants, the
 cup product is the Chen-Ruan formula with its obstruction set, stated over
 the ``Fraction`` definitions of sectors, fixed sets and ages, and
-the WDVV residual is summed term by term over every ``beta <= alpha`` and
+the degree-one 3-point numbers are sorted into vanishing, classical and
+quantum cases by an integer congruence mod ``mu``, the WDVV residual is
+summed term by term over every ``beta <= alpha`` and
 every ``a``, with no index of the stored coefficients, the multi-indices
 of one length are walked in full, with no selection rule, and the WDVV
 solver runs in ``Fraction`` arithmetic over that full walk, with the
@@ -14,6 +16,7 @@ selection rule stated from the spectrum.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 from fractions import Fraction
@@ -27,6 +30,7 @@ from orbimirror import (
     age,
     fixed_indices,
     initial_coeffs,
+    inverse_sector,
     sector_dim,
     sectors,
 )
@@ -101,6 +105,46 @@ def cup_basis_reference(w: Weights, a: BasisClass, b: BasisClass):
     excess = fixed - (fixed_indices(w, g0) & fixed_indices(w, g1))
     k = obstruction_set(w, g0, g1, frac(-g)) | excess
     return Fraction(math.prod(w[i] for i in k)), BasisClass(g, int(d))
+
+
+class TripleKind(enum.Enum):
+    VANISHING = "VANISHING"
+    CLASSICAL = "CLASSICAL"
+    QUANTUM = "QUANTUM"
+
+
+def classify_triple(w: Weights, g, d: int, g2, d2: int) -> TripleKind:
+    """Sort the triple ``(eta_1^1, eta_g^d, eta_g2^d2)`` into its case.
+
+    ``e = 1 + deg/2 + deg'/2 - n``, with ``deg/2 = d + age(g)``, is ``mu``
+    times the hyperplane degree of the one curve class that can support the
+    invariant.  The classifier ``t = e + mu*(gamma(g^-1) + gamma(g2^-1))``
+    is always an exact integer.  The invariant vanishes unless
+    ``t = 0 mod mu``; among the survivors the degree-0 (classical) ones are
+    exactly those with ``e = 0``.
+    """
+    e = 1 + d + age(w, g) + d2 + age(w, g2) - w.n
+    t = e + w.mu * (inverse_sector(g) + inverse_sector(g2))
+    if t.denominator != 1:
+        raise InternalConsistencyError(f"classifier {t} is not an integer")
+    if int(t) % w.mu != 0:
+        return TripleKind.VANISHING
+    if e == 0:
+        return TripleKind.CLASSICAL
+    return TripleKind.QUANTUM
+
+
+def three_point_reference(w: Weights, g, d: int, g2, d2: int) -> Fraction:
+    """The degree-one 3-point number ``((eta_1^1, eta_g^d, eta_g2^d2))`` by
+    cases: 0 when vanishing, ``prod(1/w_i, i in I(g))`` when classical, and
+    that times ``prod(1/w_i, i in I(g2))`` when quantum."""
+    kind = classify_triple(w, g, d, g2, d2)
+    if kind is TripleKind.VANISHING:
+        return Fraction(0)
+    value = Fraction(1, math.prod(w[i] for i in fixed_indices(w, g)))
+    if kind is TripleKind.CLASSICAL:
+        return value
+    return value / math.prod(w[i] for i in fixed_indices(w, g2))
 
 
 def falling_factorial(x: Fraction, n: int) -> Fraction:

@@ -3,23 +3,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction as F
 
-from _oracles import sector_constant_ratio
+import pytest
+
+from _oracles import (
+    TripleKind,
+    classify_triple,
+    sector_constant_ratio,
+    three_point_reference,
+)
+from conftest import SUITE
 from orbimirror import (
     BasisClass,
     CohClass,
     Weights,
     degree,
-    gram_matrix,
     inverse_sector,
     k_min,
     ordered_basis,
     sectors,
     unit,
 )
+from orbimirror.acohomology import cup_basis
 from orbimirror.aquantum import (
-    TripleKind,
     a0_matrix,
-    classify_triple,
     hyperplane_quantum_mult,
     sector_constant,
     three_point,
@@ -177,16 +183,52 @@ def test_a0_matrix_examples():
     assert char_poly(m) == [F(-27, 4), F(0), F(0), F(1)]
 
 
-def test_three_point_equals_pairing_with_quantum_product(suite_weights):
-    w = suite_weights
+@pytest.mark.parametrize(
+    "wt",
+    SUITE + [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16)],
+    ids=lambda t: "w" + "_".join(map(str, t)),
+)
+def test_three_point_equals_pairing_with_quantum_product(wt):
+    # The pairing of the hyperplane action against the case-by-case route,
+    # on every ordered pair of basis classes.
+    w = Weights(wt)
     basis = ordered_basis(w)
-    index = {c: i for i, c in enumerate(basis)}
-    gram = gram_matrix(w)
     for a in basis:
-        image = hyperplane_quantum_mult(w, CohClass.line(a))
         for b in basis:
-            lhs = image.scalar * gram[index[image.bc]][index[b]]
-            assert lhs == three_point(w, a.gamma, a.d, b.gamma, b.d), (w, a, b)
+            assert three_point(w, a.gamma, a.d, b.gamma, b.d) == three_point_reference(
+                w, a.gamma, a.d, b.gamma, b.d
+            ), (a, b)
+
+
+# For P(1, 2): one exponent above the identity sector's dimension 1, one
+# below 0, and a rotation number that is not a sector.
+_OUTSIDE = [bc(0, 2), bc(0, -1), bc((1, 3), 0)]
+_INSIDE = bc((1, 2), 0)
+
+
+@pytest.mark.parametrize(
+    "outside", _OUTSIDE, ids=["d_above_dim", "d_negative", "not_a_sector"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, x: hyperplane_quantum_mult(w, CohClass.line(x)),
+        lambda w, x: cup_basis(w, x, _INSIDE),
+        lambda w, x: cup_basis(w, _INSIDE, x),
+        lambda w, x: three_point(w, x.gamma, x.d, _INSIDE.gamma, _INSIDE.d),
+        lambda w, x: three_point(w, _INSIDE.gamma, _INSIDE.d, x.gamma, x.d),
+    ],
+    ids=[
+        "hyperplane_quantum_mult",
+        "cup_first",
+        "cup_second",
+        "three_point_first",
+        "three_point_second",
+    ],
+)
+def test_products_refuse_classes_outside_the_basis(call, outside):
+    with pytest.raises(ValueError, match="not a basis class"):
+        call(Weights(1, 2), outside)
 
 
 def test_projective_space_reduction():

@@ -8,12 +8,14 @@ writes the records as JSON).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from orbimirror import Weights, acohomology, aquantum, bside, check_classical, check_quantum
+from orbimirror import BasisClass, Weights, acohomology, aquantum, bside
+from orbimirror import check_classical, check_quantum
 from orbimirror import cli, run_selftest, sector_table, selftest
 
 
@@ -87,6 +89,49 @@ def test_mirror_failure_records(monkeypatch):
                 ("indices", (2, 2)),
                 ("a_side", "0"),
                 ("b_side", "1"),
+            ],
+        ),
+    }
+
+
+def test_a_side_action_failure_records(monkeypatch):
+    # eta_1^1 * eta_1^1 doubled on the A side.  The 3-point tensor is read
+    # off the same hyperplane action as A0, so it fails with it, at the one
+    # pair that pairs the doubled image nontrivially.
+    hyperplane_quantum_mult = aquantum.hyperplane_quantum_mult
+
+    def doubled_square(w, c):
+        image = hyperplane_quantum_mult(w, c)
+        if c.bc == BasisClass(Fraction(0), 1):
+            return dataclasses.replace(image, scalar=2 * image.scalar)
+        return image
+
+    monkeypatch.setattr(aquantum, "hyperplane_quantum_mult", doubled_square)
+    quantum = check_quantum(Weights(1, 2, 3))
+    assert quantum.checks == 87
+    assert _by_check(quantum) == {
+        "a0_transport": (
+            1,
+            [("check", "a0_transport"), ("detail", "P^T * A0_A * P != A0_B at Q=1")],
+        ),
+        "a0_entry": (
+            1,
+            [
+                ("check", "a0_entry"),
+                ("pair", (("0", 2), ("0", 1))),
+                ("indices", (2, 1)),
+                ("a_side", "12"),
+                ("b_side", "6"),
+            ],
+        ),
+        "three_point_tensor": (
+            1,
+            [
+                ("check", "three_point_tensor"),
+                ("pair", (("0", 1), ("0", 0))),
+                ("indices", (1, 0)),
+                ("a_side", "1/3"),
+                ("b_side", "1/6"),
             ],
         ),
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 
@@ -34,7 +35,7 @@ def _cases(command: str):
         yield wt
 
 
-def _stdout_sha(command: str, wt: tuple[int, ...], fmt: str) -> str:
+def _stdout(command: str, wt: tuple[int, ...], fmt: str) -> str:
     argv = [command, "--weights", ",".join(map(str, wt)), "--format", fmt]
     if command == "reconstruct":
         argv += ["--max-length", "6"]
@@ -42,7 +43,11 @@ def _stdout_sha(command: str, wt: tuple[int, ...], fmt: str) -> str:
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     assert code == 0, (argv, code)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def _stdout_sha(command: str, wt: tuple[int, ...], fmt: str) -> str:
+    return hashlib.sha256(_stdout(command, wt, fmt).encode()).hexdigest()
 
 
 def _key(command: str, wt: tuple[int, ...], fmt: str) -> str:
@@ -70,6 +75,27 @@ def test_cli_stdout_matches_golden(command, fmt):
             wt,
             fmt,
         )
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        sorted(set(itertools.permutations((2, 3, 5)))),
+        sorted(set(itertools.permutations((1, 2, 2, 3)))),
+        [(1, 4, 5, 7), (7, 5, 4, 1)],
+    ],
+    ids=["w2_3_5", "w1_2_2_3", "w1_4_5_7"],
+)
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_payload_is_permutation_invariant(command, orders):
+    # Every output is indexed by the s-sequence or by sectors, and both
+    # depend only on the multiset of weights: only "weights" may differ.
+    payloads = []
+    for wt in orders:
+        payload = json.loads(_stdout(command, wt, "json"))
+        assert payload.pop("weights") == list(wt)
+        payloads.append(payload)
+    assert all(p == payloads[0] for p in payloads[1:]), command
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 The underlying graded vector space has the mu basis classes ``eta_g^d``,
 one for each sector ``g`` and each power ``0 <= d <= sector_dim(g)`` of the
-restricted hyperplane class.  This module implements, all in exact rational
-arithmetic:
+restricted hyperplane class.  Per-sector data is read from the sector
+table, its one definition.  This module implements, all in exact arithmetic:
 
 * the ordered basis and the grading ``deg(eta_g^d) = 2 (d + age(g))``,
-* the Poincare pairing (perfect, block anti-diagonal in the sectors),
+* the Poincare pairing (perfect, block anti-diagonal in the sectors):
+  ``eta_g^d`` pairs with ``eta_{g^-1}^{d'}`` iff ``d + d' = dim(g)``,
 * the cup product on basis classes,
 * the monomials ``c * Q^e * eta_g^d`` that the quantum action moves,
 * the grading matrix ``diag(deg / 2)``.
@@ -33,10 +34,7 @@ from .combinatorics import (
     Sector,
     SectorData,
     Weights,
-    frac,
-    sector_dim,
     sector_table,
-    sectors,
 )
 from .errors import InternalConsistencyError
 from .linalg import Matrix, zeros
@@ -78,7 +76,7 @@ def ordered_basis(w: Weights) -> tuple[BasisClass, ...]:
     (BasisClass(gamma=Fraction(0, 1), d=0), BasisClass(gamma=Fraction(0, 1), d=1), BasisClass(gamma=Fraction(1, 2), d=0))
     """
     basis = tuple(
-        BasisClass(g, d) for g in sectors(w) for d in range(sector_dim(w, g) + 1)
+        BasisClass(g, d) for g, s in sector_table(w).items() for d in range(s.dim + 1)
     )
     if len(basis) != w.mu:
         raise InternalConsistencyError(
@@ -94,20 +92,21 @@ def basis_index(w: Weights) -> MappingProxyType:
 
 
 def degree(w: Weights, c: BasisClass) -> Fraction:
-    """Orbifold degree ``2 (d + age(g))`` of a basis class."""
-    return 2 * (c.d + sector_table(w)[c.gamma].age)
+    """Orbifold degree ``2 (d + age(g))`` of a basis class.  Raises
+    ``ValueError`` if ``c`` is not a basis class."""
+    return 2 * (c.d + basis_sector(w, c).age)
 
 
 def pairing(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
     """Poincare pairing of two basis classes.
 
-    Nonzero only between mutually inverse sectors with complementary
-    degrees, where it equals ``prod(1 / w_i for i in fixed_indices(g))``.
+    Nonzero only between mutually inverse sectors with ``d + d' = dim(g)``
+    (so degrees sum to ``2n``), where it is ``prod(1 / w_i, i in I(g))``.
+    Raises ``ValueError`` if ``a`` or ``b`` is not a basis class.
     """
-    sector = sector_table(w)[a.gamma]
-    if b.gamma != sector.inverse:
-        return Fraction(0)
-    if degree(w, a) + degree(w, b) != 2 * w.n:
+    sector = basis_sector(w, a)
+    basis_sector(w, b)
+    if b.gamma != sector.inverse or a.d + b.d != sector.dim:
         return Fraction(0)
     return sector.inv_weight_product
 
@@ -132,30 +131,29 @@ def basis_sector(w: Weights, c: BasisClass) -> SectorData:
 
 def cup_basis(
     w: Weights, a: BasisClass, b: BasisClass
-) -> tuple[Fraction, BasisClass | None]:
+) -> tuple[int, BasisClass | None]:
     """Cup product of two basis classes: ``(coefficient, target)``.
 
     By the carry rule: ``prod(w_i for i in K) * eta_g^{d0 + d1 + |K|}`` on
-    ``g = frac(g0 + g1)``, ``K = {i : p0_i + p1_i >= D}``.  Returns
+    ``g = (g0 + g1) % 1``, ``K = {i : p0_i + p1_i >= D}``.  Returns
     ``(0, None)`` when ``g`` is not a sector or the exponent exceeds its
     dimension.  Raises ``ValueError`` if ``a`` or ``b`` is not a basis class.
 
     >>> w = Weights(1, 2, 2, 3, 3, 3)
     >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
-    (Fraction(4, 1), BasisClass(gamma=Fraction(2, 3), d=2))
+    (4, BasisClass(gamma=Fraction(2, 3), d=2))
     """
     s0, s1 = basis_sector(w, a), basis_sector(w, b)
-    g = frac(s0.gamma + s1.gamma)
+    g = (s0.gamma + s1.gamma) % 1
     # g is a sector exactly when some coordinate is fixed by it.
     s = sector_table(w).get(g)
     if s is None:
-        return Fraction(0), None
-    lcm = math.lcm(*w)
-    carry = [i for i, p in enumerate(s0.parts) if p + s1.parts[i] >= lcm]
+        return 0, None
+    carry = [i for i, p in enumerate(s0.parts) if p + s1.parts[i] >= w.lcm]
     d = a.d + b.d + len(carry)
     if d > s.dim:
-        return Fraction(0), None
-    return Fraction(math.prod(w[i] for i in carry)), BasisClass(g, d)
+        return 0, None
+    return math.prod(w[i] for i in carry), BasisClass(g, d)
 
 
 def unit(w: Weights) -> CohClass:

@@ -62,10 +62,8 @@ def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
     >>> three_point(Weights(1, 2), Fraction(0), 1, Fraction(1, 2), 0)
     Fraction(1, 4)
     """
-    other = BasisClass(g2, d2)
-    basis_sector(w, other)
     image = hyperplane_quantum_mult(w, CohClass.line(BasisClass(g, d)))
-    return image.scalar * pairing(w, image.bc, other)
+    return image.scalar * pairing(w, image.bc, BasisClass(g2, d2))
 
 
 def sector_constant(w: Weights, g: Sector) -> Fraction:

@@ -7,19 +7,19 @@ holds the combinatorial layer both sides are built on:
 * the *sectors*: rotation numbers ``gamma`` in ``[0, 1)`` whose reduced
   denominator divides at least one weight (the union of the groups of
   ``w_i``-th roots of unity, recorded by their argument),
-* the ``age`` grading and the fixed-index set of each sector,
 * the nondecreasing *s-sequence*: the sorted multiset of all fractions
   ``l / w_i`` with ``0 <= l < w_i`` (``mu`` values in total), a plain
   tuple of values; sorting a multiset leaves no tie order to choose,
 * the rational *spectrum* ``sigma(k) = k - mu * s(k)``,
-* ``k_min``: the first position of a sector's value inside the s-sequence,
-  computed in closed form,
 * the *sector table*: one read-only record per sector holding its inverse,
   its integer parts ``D * frac(g * w_i)`` over ``D = lcm(w)``, and the fixed
-  set, age, dimension, inverse-weight product and ``k_min`` they give,
-  built once.  Every other module reads per-sector data from this table.
+  set, age, dimension, inverse-weight product and ``k_min`` (the first
+  position of the sector's value in the s-sequence) they give, built once.
+  It is the one definition of per-sector data: :func:`fixed_indices`,
+  :func:`age`, :func:`sector_dim` and :func:`k_min` read it and raise
+  ``ValueError`` on a non-sector.
 
-All functions are pure and exact (``fractions.Fraction`` arithmetic), and
+All functions are pure and exact (integer and ``Fraction`` arithmetic), and
 results for a given weight vector are cached.
 """
 
@@ -44,10 +44,10 @@ class Weights:
 
     Weight vectors are kept exactly as given: no gcd reduction and no
     sorting, since every formula downstream is stated for general weights.
-    ``mu``, the total weight and the rank of everything here, is stored once.
+    ``mu`` (total weight and rank) and ``lcm`` (the table's ``D``) are stored once.
     """
 
-    __slots__ = ("w", "mu")
+    __slots__ = ("w", "mu", "lcm")
 
     def __init__(self, *w):
         if len(w) == 1 and not isinstance(w[0], int):
@@ -59,6 +59,7 @@ class Weights:
                 raise ValueError(f"weights must be integers >= 1, got {x!r}")
         object.__setattr__(self, "w", tuple(w))
         object.__setattr__(self, "mu", sum(w))
+        object.__setattr__(self, "lcm", math.lcm(*w))
 
     def __setattr__(self, name, value):
         raise AttributeError("Weights is immutable")
@@ -94,11 +95,6 @@ class Weights:
         return f"Weights{self.w}"
 
 
-def frac(q: Fraction) -> Fraction:
-    """Fractional part ``q - floor(q)`` of an exact rational."""
-    return q - math.floor(q)
-
-
 def inverse_sector(g: Sector) -> Sector:
     """Rotation number of the inverse group element: 0 maps to 0, else 1 - g."""
     return -g if g == 0 else 1 - g
@@ -115,14 +111,22 @@ def sectors(w: Weights) -> tuple[Sector, ...]:
     return tuple(sorted(vals))
 
 
+def _record(w: Weights, g: Sector) -> SectorData:
+    """The sector table's record of ``g``; ``ValueError`` if ``g`` is not a sector."""
+    s = sector_table(w).get(g)
+    if s is None:
+        raise ValueError(f"{g} is not a sector of P{w.w}")
+    return s
+
+
 def fixed_indices(w: Weights, g: Sector) -> frozenset[int]:
     """Indices of the coordinates fixed by the sector: ``{i : g * w_i integer}``."""
-    return frozenset(i for i, wi in enumerate(w) if (g * wi).denominator == 1)
+    return _record(w, g).fixed
 
 
 def sector_dim(w: Weights, g: Sector) -> int:
     """Complex dimension of the stratum fixed by ``g``: ``|fixed_indices| - 1``."""
-    return len(fixed_indices(w, g)) - 1
+    return _record(w, g).dim
 
 
 def age(w: Weights, g: Sector) -> Fraction:
@@ -131,7 +135,7 @@ def age(w: Weights, g: Sector) -> Fraction:
     >>> age(Weights(1, 2, 2, 3, 3, 3), Fraction(1, 3))
     Fraction(5, 3)
     """
-    return sum((frac(g * wi) for wi in w), Fraction(0))
+    return _record(w, g).age
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +171,7 @@ def k_min(w: Weights, g: Sector) -> int:
     >>> k_min(Weights(1, 2, 2, 3, 3, 3), Fraction(2, 3))
     11
     """
-    codim = w.n + 1 - len(fixed_indices(w, g))
-    return codim + sum(math.floor(g * wi) for wi in w)
+    return _record(w, g).k_min
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,8 @@ class SectorData:
     """Per-sector data shared by the A side, the B side and the mirror map.
 
     ``parts[i]`` is the integer ``D * frac(gamma * w_i)`` with ``D = lcm(w)``;
-    ``fixed`` is where it is 0 and ``age`` is its sum over ``D``.
+    ``fixed`` is where it is 0, ``age`` is its sum over ``D`` and ``k_min``
+    is ``n + 1 - |fixed| + sum_i (D gamma w_i) // D``.
     """
 
     gamma: Sector
@@ -197,7 +201,7 @@ def sector_table(w: Weights) -> MappingProxyType:
     >>> sector_table(Weights(1, 2))[Fraction(1, 2)].inv_weight_product
     Fraction(1, 2)
     """
-    lcm = math.lcm(*w)
+    lcm = w.lcm
     table = {}
     for g in sectors(w):
         # D * g is an integer: the denominator of g divides some w_i.
@@ -212,6 +216,6 @@ def sector_table(w: Weights) -> MappingProxyType:
             age=Fraction(sum(parts), lcm),
             dim=len(fixed) - 1,
             inv_weight_product=Fraction(1, math.prod(w[i] for i in fixed)),
-            k_min=k_min(w, g),
+            k_min=len(w) - len(fixed) + sum(step * wi // lcm for wi in w),
         )
     return MappingProxyType(table)

@@ -120,15 +120,9 @@ def _check_cup_ring(w: Weights, report: CheckReport) -> None:
             check="cup_unit",
             cls=labels[p],
         )
-    # Each product as (coeff, target position), with (0, None) for zero.  A
-    # cup coefficient is a product of weights, so the ring laws compare ints;
-    # one that is not an integer stays a Fraction and fails them as such.
+    # Each product as (coeff, target position), with (0, None) for zero.
     prods = [
-        [
-            (0, None) if t is None or not c
-            else (c.numerator if c.denominator == 1 else c, index[t])
-            for c, t in row
-        ]
+        [(0, None) if t is None or not c else (c, index[t]) for c, t in row]
         for row in cups
     ]
     _check_ring(

@@ -147,7 +147,7 @@ def _degree_table(w: Weights) -> tuple[int, int, tuple[int, ...]]:
     ``sigma(k) = k - mu l / w_i`` for some ``l`` and ``i``, so every entry is an
     integer; raises ``InternalConsistencyError`` if one is not.
     """
-    den = math.lcm(*w)
+    den = w.lcm
     steps = [den * (s - 1) for s in spectrum(w)]
     bad = [k for k, x in enumerate(steps) if x.denominator != 1]
     if bad:

@@ -1,17 +1,17 @@
 """Independent oracles used by the tests.
 
 Nothing here touches the library's own code paths: the counts of rational
-plane curves come from the classical recursion, the falling-factorial
-ratio below is an alternative route to the sector structure constants, the
-cup product is the Chen-Ruan formula with its obstruction set, stated over
-the ``Fraction`` definitions of sectors, fixed sets and ages, and
-the degree-one 3-point numbers are sorted into vanishing, classical and
-quantum cases by an integer congruence mod ``mu``, the WDVV residual is
-summed term by term over every ``beta <= alpha`` and
-every ``a``, with no index of the stored coefficients, the multi-indices
-of one length are walked in full, with no selection rule, and the WDVV
-solver runs in ``Fraction`` arithmetic over that full walk, with the
-selection rule stated from the spectrum.
+plane curves come from the classical recursion, the per-sector data (fixed
+sets, dimensions, ages and ``k_min``) has its ``Fraction`` definitions,
+the falling-factorial ratio below is an alternative route to the sector
+structure constants, the cup product is the Chen-Ruan formula with its
+obstruction set, stated over those ``Fraction`` definitions, the degree-one
+3-point numbers are sorted into vanishing, classical and quantum cases by
+an integer congruence mod ``mu``, the WDVV residual is summed term by term
+over every ``beta <= alpha`` and every ``a``, with no index of the stored
+coefficients, the multi-indices of one length are walked in full, with no
+selection rule, and the WDVV solver runs in ``Fraction`` arithmetic over
+that full walk, with the selection rule stated from the spectrum.
 """
 
 from __future__ import annotations
@@ -27,15 +27,39 @@ from orbimirror import (
     InternalConsistencyError,
     Potential,
     Weights,
-    age,
-    fixed_indices,
     initial_coeffs,
     inverse_sector,
-    sector_dim,
     sectors,
 )
 from orbimirror.bside import metric_diagonal
-from orbimirror.combinatorics import frac, spectrum
+from orbimirror.combinatorics import spectrum
+
+
+def frac(q: Fraction) -> Fraction:
+    """Fractional part ``q - floor(q)`` of an exact rational."""
+    return q - math.floor(q)
+
+
+def fixed_indices(w: Weights, g) -> frozenset[int]:
+    """``I(g) = {i : g * w_i integer}``, for any rational ``g``."""
+    return frozenset(i for i, wi in enumerate(w) if (g * wi).denominator == 1)
+
+
+def sector_dim(w: Weights, g) -> int:
+    """``|I(g)| - 1``."""
+    return len(fixed_indices(w, g)) - 1
+
+
+def age(w: Weights, g) -> Fraction:
+    """``sum_i frac(g * w_i)``."""
+    return sum((frac(g * wi) for wi in w), Fraction(0))
+
+
+def k_min(w: Weights, g) -> int:
+    """``(n + 1 - |I(g)|) + sum_i floor(g * w_i)``: the closed form of the
+    first position of ``g`` in the s-sequence."""
+    codim = w.n + 1 - len(fixed_indices(w, g))
+    return codim + sum(math.floor(g * wi) for wi in w)
 
 
 def kontsevich_numbers(dmax: int) -> dict[int, int]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from orbimirror import Weights
@@ -36,6 +38,15 @@ SMALL_FAMILY = sorted(
     }
     | set(SUITE)
 )
+
+# The census: every sorted weight vector with at least two entries and
+# mu <= 10, 128 vectors.
+CENSUS = [
+    ws
+    for length in range(2, 11)
+    for ws in itertools.combinations_with_replacement(range(1, 10), length)
+    if sum(ws) <= 10
+]
 
 
 @pytest.fixture(params=SUITE, ids=lambda t: "w" + "_".join(map(str, t)))

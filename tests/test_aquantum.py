@@ -20,6 +20,7 @@ from orbimirror import (
     inverse_sector,
     k_min,
     ordered_basis,
+    pairing,
     sectors,
     unit,
 )
@@ -217,6 +218,9 @@ _INSIDE = bc((1, 2), 0)
         lambda w, x: cup_basis(w, _INSIDE, x),
         lambda w, x: three_point(w, x.gamma, x.d, _INSIDE.gamma, _INSIDE.d),
         lambda w, x: three_point(w, _INSIDE.gamma, _INSIDE.d, x.gamma, x.d),
+        degree,
+        lambda w, x: pairing(w, x, _INSIDE),
+        lambda w, x: pairing(w, _INSIDE, x),
     ],
     ids=[
         "hyperplane_quantum_mult",
@@ -224,6 +228,9 @@ _INSIDE = bc((1, 2), 0)
         "cup_second",
         "three_point_first",
         "three_point_second",
+        "degree",
+        "pairing_first",
+        "pairing_second",
     ],
 )
 def test_products_refuse_classes_outside_the_basis(call, outside):

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import SMALL_FAMILY
+import _oracles as oracle
+from conftest import CENSUS, SMALL_FAMILY
 from orbimirror import (
     Weights,
     age,
@@ -20,7 +21,6 @@ from orbimirror import (
     sectors,
     spectrum,
 )
-from orbimirror.combinatorics import frac
 
 
 def test_weights_validation():
@@ -35,6 +35,7 @@ def test_weights_validation():
     assert Weights([1, 2]) == Weights(1, 2)
     assert Weights(2, 4).mu == 6
     assert Weights(2, 4).n == 1
+    assert Weights(4, 6, 9).lcm == math.lcm(4, 6, 9) == 36
 
 
 def test_weights_are_immutable():
@@ -45,7 +46,9 @@ def test_weights_are_immutable():
         del w.mu
     with pytest.raises(AttributeError):
         w.w = (1, 5)
-    assert w.mu == 6 and w.w == (2, 4)
+    with pytest.raises(AttributeError):
+        w.lcm = 8
+    assert w.mu == 6 and w.w == (2, 4) and w.lcm == 4
     # Equality and hashing read the weights alone.
     assert w == Weights([2, 4]) and hash(w) == hash((2, 4))
     assert w != Weights(4, 2) and w != Weights(1, 5)
@@ -60,7 +63,9 @@ def test_weights_copy_and_pickle(clone):
     w = Weights(1, 2)
     other = clone(w)
     assert other == w and hash(other) == hash(w)
-    assert other.w == (1, 2) and other.mu == 3
+    assert other.w == (1, 2) and other.mu == 3 and other.lcm == 2
+    wide = clone(Weights(4, 6, 9))
+    assert wide.lcm == math.lcm(*wide.w) == 36
     with pytest.raises(AttributeError):
         other.mu = 7
     with pytest.raises(AttributeError):
@@ -130,26 +135,40 @@ def test_k_min_examples():
 
 
 def test_sector_table_fields_match_definitions():
-    for wt in SMALL_FAMILY:
+    # The table against the Fraction definitions in the oracles.
+    assert len(CENSUS) == 128
+    for wt in SMALL_FAMILY + CENSUS:
         w = Weights(wt)
         table = sector_table(w)
         assert tuple(table) == sectors(w), wt
         values = s_sequence(w)
         lcm = math.lcm(*wt)
         for g, s in table.items():
-            fixed = {i for i, wi in enumerate(wt) if (g * wi).denominator == 1}
+            fixed = oracle.fixed_indices(w, g)
             weight_product = 1
             for i in fixed:
                 weight_product *= wt[i]
             assert s.gamma == g
             assert s.inverse == inverse_sector(g)
-            assert s.parts == tuple(lcm * frac(g * wi) for wi in wt)
+            assert s.parts == tuple(lcm * oracle.frac(g * wi) for wi in wt)
             assert all(type(p) is int for p in s.parts)
             assert s.fixed == fixed
-            assert s.age == sum((frac(g * wi) for wi in wt), F(0))
-            assert s.dim == len(fixed) - 1
+            assert s.age == oracle.age(w, g)
+            assert s.dim == oracle.sector_dim(w, g)
             assert s.inv_weight_product == F(1, weight_product)
-            assert s.k_min == values.index(g), (wt, g)
+            assert s.k_min == oracle.k_min(w, g) == values.index(g), (wt, g)
+
+
+@pytest.mark.parametrize("g", [F(1, 3), F(1), F(-1, 2)], ids=["1_3", "1", "-1_2"])
+@pytest.mark.parametrize(
+    "function",
+    [age, fixed_indices, sector_dim, k_min],
+    ids=["age", "fixed_indices", "sector_dim", "k_min"],
+)
+def test_per_sector_functions_refuse_a_non_sector(function, g):
+    # P(1, 2) has the sectors 0 and 1/2 only.
+    with pytest.raises(ValueError, match="not a sector"):
+        function(Weights(1, 2), g)
 
 
 def test_sector_table_is_read_only():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import CENSUS
 from orbimirror import (
     BasisClass,
     Weights,
@@ -12,6 +13,7 @@ from orbimirror import (
     degree,
     mirror_index_map,
     ordered_basis,
+    run_selftest,
     spectrum,
 )
 
@@ -56,6 +58,17 @@ def test_classical_correspondence(suite_weights):
 def test_quantum_correspondence(suite_weights):
     report = check_quantum(suite_weights)
     assert report.passed, report.failures[:3]
+
+
+@pytest.mark.parametrize("mu", range(2, 11), ids=lambda mu: f"mu{mu}")
+def test_census_checkers_pass(mu):
+    # Both mirror checks and the invariant suite on every census vector of
+    # total weight mu.
+    for wt in CENSUS:
+        if sum(wt) == mu:
+            w = Weights(wt)
+            for report in (check_classical(w), check_quantum(w), run_selftest(w)):
+                assert report.passed, (wt, report.name, report.failures[:3])
 
 
 def test_euler_field_coefficients_transport(suite_weights):

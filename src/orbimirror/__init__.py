@@ -20,7 +20,6 @@ from .combinatorics import (
 from .acohomology import (
     BasisClass,
     CohClass,
-    a_infinity_matrix,
     cup_basis,
     degree,
     gram_matrix,
@@ -45,7 +44,6 @@ __all__ = [
     "Sector",
     "SectorData",
     "Weights",
-    "a_infinity_matrix",
     "age",
     "check_classical",
     "check_quantum",

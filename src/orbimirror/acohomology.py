@@ -9,8 +9,7 @@ table, its one definition.  This module implements, all in exact arithmetic:
 * the Poincare pairing (perfect, block anti-diagonal in the sectors):
   ``eta_g^d`` pairs with ``eta_{g^-1}^{d'}`` iff ``d + d' = dim(g)``,
 * the cup product on basis classes,
-* the monomials ``c * Q^e * eta_g^d`` that the quantum action moves,
-* the grading matrix ``diag(deg / 2)``.
+* the monomials ``c * Q^e * eta_g^d`` that the quantum action moves.
 
 The cup product is read off the integer parts ``p_i = D * frac(g * w_i)``,
 ``D = lcm(w)``, of the sector table.  With ``K = {i : p0_i + p1_i >= D}``,
@@ -37,7 +36,6 @@ from .combinatorics import (
     sector_table,
 )
 from .errors import InternalConsistencyError
-from .linalg import Matrix, zeros
 
 
 @dataclass(frozen=True, order=True)
@@ -160,15 +158,3 @@ def unit(w: Weights) -> CohClass:
     """The unit class ``eta_1^0``."""
     return CohClass.line(BasisClass(Fraction(0), 0))
 
-
-@lru_cache(maxsize=None)
-def a_infinity_matrix(w: Weights) -> tuple[tuple[Fraction, ...], ...]:
-    """Grading matrix ``diag(deg(eta) / 2)`` over the ordered basis.
-
-    Together with its pairing adjoint it sums to ``n * Id``.
-    """
-    basis = ordered_basis(w)
-    m: Matrix = zeros(w.mu)
-    for i, bc in enumerate(basis):
-        m[i][i] = degree(w, bc) / 2
-    return tuple(tuple(row) for row in m)

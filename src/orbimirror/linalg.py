@@ -39,18 +39,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scalar_mul(c: Fraction, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

@@ -322,3 +322,73 @@ def test_selftest_k_min_off_by_one(monkeypatch, capsys, wt, checks, expected):
     code = cli.main(["selftest", "--weights", ",".join(map(str, wt))])
     assert code == 1
     assert capsys.readouterr().err == ""
+
+
+def _selftest_fails_without_raising(capsys, wt) -> None:
+    # The CLI reports the failures and exits 1, with no traceback.
+    assert cli.main(["selftest", "--weights", ",".join(map(str, wt))]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_selftest_singular_pairing_records(monkeypatch, capsys):
+    # The pairing loses the unit's partner: the Gram matrix is singular, so
+    # both the grading adjoint and nondegeneracy fail, and so does Frobenius
+    # symmetry wherever it reads that entry.
+    pairing = acohomology.pairing
+    unit, top = BasisClass(Fraction(0), 0), BasisClass(Fraction(0), 2)
+
+    def without_unit_partner(w, a, b):
+        return Fraction(0) if (a, b) == (unit, top) else pairing(w, a, b)
+
+    monkeypatch.setattr(acohomology, "pairing", without_unit_partner)
+    monkeypatch.setattr(selftest, "gram_matrix", acohomology.gram_matrix.__wrapped__)
+    report = run_selftest(Weights(2, 3, 4))
+    assert report.checks == 3395
+    assert _by_check(report) == {
+        "a_side_grading_adjoint": (
+            1,
+            [
+                ("check", "a_side_grading_adjoint"),
+                ("detail", "diag(deg/2) + adjoint != n * Id"),
+            ],
+        ),
+        "pairing_nondegenerate": (1, [("check", "pairing_nondegenerate")]),
+        "cup_frobenius": (
+            8,
+            [("check", "cup_frobenius"), ("triple", (("0", 0), ("0", 1), ("0", 1)))],
+        ),
+    }
+    _selftest_fails_without_raising(capsys, (2, 3, 4))
+
+
+def test_selftest_singular_b_metric_records(monkeypatch, capsys):
+    # The residue metric loses its entry at index 0: the B-side grading
+    # adjoint fails, and so do the laws that read that entry.
+    metric_diagonal = bside.metric_diagonal
+
+    def zero_at_unit(w):
+        dual, entry = metric_diagonal(w)
+        return dual, (Fraction(0),) + entry[1:]
+
+    monkeypatch.setattr(bside, "metric_diagonal", zero_at_unit)
+    monkeypatch.setattr(bside, "metric_matrix", bside.metric_matrix.__wrapped__)
+    report = run_selftest(Weights(2, 3, 4))
+    assert report.checks == 3395
+    assert _by_check(report) == {
+        "b_side_grading_adjoint": (
+            1,
+            [
+                ("check", "b_side_grading_adjoint"),
+                ("detail", "diag(sigma) + adjoint != n * Id"),
+            ],
+        ),
+        "b_frobenius_symmetric": (
+            16,
+            [("check", "b_frobenius_symmetric"), ("triple", (0, 2, 0))],
+        ),
+        "three_tensor_matches_product": (
+            2,
+            [("check", "three_tensor_matches_product"), ("pair", (0, 1))],
+        ),
+    }
+    _selftest_fails_without_raising(capsys, (2, 3, 4))

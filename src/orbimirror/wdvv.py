@@ -58,26 +58,31 @@ its nonzero entries.  ``wdvv_residual`` does not use the rule, so a residual
 sweep stays an independent check of the solver, and of the rule itself.
 
 Integer layer.  The solver runs on ``int`` numerators.  With
-``P = prod(w)`` its memo holds ``N(x) = A(x) P^(|x| + 2)``; the inverse
-metric entries ``g^{aa*}`` are integers (products of weights), and the cubic
-data enters as ``A P^5``.  In a chain equation every product of two known
-terms has its ``P`` powers summing to ``|alpha| + 10``, as does the pivot
-times the unknown, so ``N`` of the unknown is the integer sum of
-``binom g^{aa*} N N`` over the known terms divided by ``g^{aa*} N`` of the
-pivot's cubic datum.  The scaling step reads
-``N(x + e_1) = N(x) P D d(x) / (D mu)``.  Each is one ``divmod``; a
-remainder raises ``InternalConsistencyError`` (exit 3), and there is no
-fallback to ``Fraction``.  ``reconstruct`` makes the one ``Fraction`` view,
-``N(x) / P^(|x| + 2)``, when it hands the memo to ``Potential``.  The
-bound: the scaling division is always exact, because by the charge rule
-``d(x) / mu`` is an integer minus ``sum_k x_k s(k)``, whose denominator
-divides ``D``, which divides ``P``.  A pivot is ``g^{aa*}`` times a cubic
-datum, a ratio of weight powers, so the recursion alone shows only that
-every ``A(x)`` lies in ``Z[1/P]``: each chain step may add the ``P``-adic
-valuation of its pivot to the exponent.  That ``|x| + 2`` suffices is not
-proved; it holds on every vector the tests reconstruct, and ``(2,3,4,5,7)``
-at length 5 needs exactly ``P^(|x| + 2)``.  A vector that needed more would
-stop with exit 3, not return a wrong number.
+``P = prod(w)`` and a power ``c >= 1`` its memo holds
+``N(x) = A(x) P^(c (|x| + 2))``; the inverse metric entries ``g^{aa*}`` are
+integers (products of weights), and the cubic data enters as ``A P^(5c)``.
+In a chain equation every product of two known terms has its ``P`` powers
+summing to ``c (|alpha| + 10)``, as does the pivot times the unknown, so
+``N`` of the unknown is the integer sum of ``binom g^{aa*} N N`` over the
+known terms divided by ``g^{aa*} N`` of the pivot's cubic datum.  The
+scaling step reads ``N(x + e_1) = N(x) P^c D d(x) / (D mu)``.  Each is one
+``divmod``, and there is no fallback to ``Fraction``.  ``reconstruct`` makes
+the one ``Fraction`` view, ``N(x) / P^(c (|x| + 2))``, when it hands the
+memo to ``Potential``.  The scaling division is always exact, because by
+the charge rule ``d(x) / mu`` is an integer minus ``sum_k x_k s(k)``, whose
+denominator divides ``D``, which divides ``P``.  A pivot is ``g^{aa*}``
+times a cubic datum, a ratio of weight powers, so the recursion alone shows
+only that every ``A(x)`` lies in ``Z[1/P]``: each chain step may add the
+``P``-adic valuation of its pivot to the exponent.  No fixed ``c`` is
+proved; ``c = 1`` is false: the cubic datum ``A(3 e_5)`` of
+``(1,1,1,1,1,5)`` is ``5^-6``, against ``P^5 = 5^5``.  So ``c`` is found by
+a rule.  ``reconstruct`` starts at ``c = 1``; a remainder whose reduced
+denominator divides a power of ``P`` means ``c`` is too small, and the
+solve starts over at ``c + 1``.  A remainder with any other prime raises
+``InternalConsistencyError`` (exit 3).  Every weight vector with mu <= 10
+reconstructs at length 6 with ``c <= 2``; ``(1,1,6)`` and
+``(1,1,1,1,1,5)`` are among the 35 that need ``c = 2``, and ``(2,3,4,5,7)``
+at length 5 needs all of ``P^(|x| + 2)``.
 
 Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 ``S(i, j, k, l) - S(j, k, i, l)``, where
@@ -234,11 +239,21 @@ def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _exact(num: int, den: int, *where) -> int:
-    """``num / den``; ``InternalConsistencyError`` naming ``where`` if the
-    division leaves a remainder."""
+class _Rescale(Exception):
+    """A division needs more powers of ``P`` than the solver's scale holds."""
+
+
+def _exact(num: int, den: int, *where, scale: int = 1) -> int:
+    """``num / den``.  A remainder raises ``_Rescale`` if the reduced
+    denominator divides a power of ``scale``, and otherwise
+    ``InternalConsistencyError`` naming ``where``."""
     quotient, remainder = divmod(num, den)
     if remainder:
+        stray = den // math.gcd(num, den)
+        while (common := math.gcd(stray, scale)) > 1:
+            stray //= common
+        if stray == 1:
+            raise _Rescale
         raise InternalConsistencyError(
             f"{' '.join(map(str, where))}: {num} / {den} is not an integer"
         )
@@ -269,23 +284,25 @@ class _Reconstructor:
     """Memoized coefficient solver in ``int``; see the module docstring for
     the rules and the integer layer.
 
-    ``memo[x]`` is the numerator ``N(x) = A(x) P^(|x| + 2)``, ``P = prod(w)``.
+    ``memo[x]`` is the numerator ``N(x) = A(x) scale^(|x| + 2)``, where
+    ``scale = P^power`` and ``P = prod(w)``.
     """
 
-    def __init__(self, w: Weights):
+    def __init__(self, w: Weights, power: int = 1):
         if w.mu < 2:
             raise ValueError("reconstruction needs mu >= 2")
         self.w = w
         self.mu = w.mu
         self.dual, self.ginv = _metric_diagonal(w)
         self.degrees = _degree_table(w)
-        self.scale = math.prod(w)
+        self.scale = math.prod(w) ** power
         # Every coefficient solved so far, seeded with the nonzero cubic data.
         zero = (0,) * w.mu
         cube = self.scale**5
         self.memo: dict[MultiIndex, int] = {
             _bump(zero, *triple): _exact(
-                value.numerator * cube, value.denominator, "cubic datum", triple
+                value.numerator * cube, value.denominator, "cubic datum", triple,
+                scale=self.scale,
             )
             for triple, value in initial_coeffs(w).items()
         }
@@ -311,13 +328,14 @@ class _Reconstructor:
             # The flat unit, or cubic data the seed holds no value for.
             value = 0
         elif key[1] >= 1:
-            # N(prev + e_1) = N(prev) P D d(prev) / (D mu).
+            # N(prev + e_1) = N(prev) scale D d(prev) / (D mu).
             prev = (key[0], key[1] - 1) + key[2:]
             value = _exact(
                 self.coeff(prev) * self.scale * _scaled_weight(self.degrees, prev),
                 self.degrees[0] * self.mu,
                 "scaling step to",
                 key,
+                scale=self.scale,
             )
         else:
             value = self._chain(key)
@@ -414,7 +432,10 @@ class _Reconstructor:
             raise InternalConsistencyError(
                 f"zero pivot in WDVV equation (1,{j},{k},{l}) at alpha={alpha}"
             )
-        return _exact(total, pivot, "WDVV equation", (1, j, k, l), "at alpha", alpha)
+        return _exact(
+            total, pivot, "WDVV equation", (1, j, k, l), "at alpha", alpha,
+            scale=self.scale,
+        )
 
 
 def _admissible_keys(w: Weights, max_length: int):
@@ -474,11 +495,18 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     """
     if type(max_length) is not int or max_length < 3:
         raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
-    rec = _Reconstructor(w)
     # Multi-indices with a unit slot, and those the rule forces to zero, are
-    # never walked.
-    for key in _admissible_keys(w, max_length):
-        rec.coeff(key)
+    # never walked.  A division that needs more powers of ``P`` starts the
+    # solve over with one more (see the integer layer).
+    power = 1
+    while True:
+        try:
+            rec = _Reconstructor(w, power)
+            for key in _admissible_keys(w, max_length):
+                rec.coeff(key)
+            break
+        except _Rescale:
+            power += 1
     # Drop the memoised zeros and turn the numerators into their one
     # ``Fraction`` view in place: ``Potential`` makes the one copy.
     memo = rec.memo

@@ -1,12 +1,14 @@
 """Small exact linear algebra helpers over ``fractions.Fraction``.
 
 Matrices are lists of row lists.  Sizes here are tiny (mu x mu with
-mu <= 64), so simple cubic algorithms are plenty.
+mu <= 64).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import InternalConsistencyError
 
 Matrix = list[list[Fraction]]
 
@@ -16,49 +18,32 @@ def zeros(rows: int, cols: int | None = None) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    m = zeros(n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def char_poly(a: Matrix) -> list[Fraction]:
-    """Coefficients ``c_0 .. c_n`` of ``det(X I - A)``, low degree first.
+    """Coefficients ``c_0 .. c_n`` of ``det(X I - A)``, low degree first, for
+    a weighted n-cycle ``A``: one nonzero entry per column, whose rows run
+    through a single cycle.  Both ``A0`` matrices are of this form.
 
-    Faddeev-LeVerrier iteration; exact over the rationals.
+    Expanding along the cycle gives ``X^n - p``, where ``p`` is the product
+    of the entries.  Any other matrix raises ``InternalConsistencyError``.
     """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    for k in range(1, n + 1):
-        m = matmul(a, m)
-        c = -trace(m) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
+    image = []
+    for j, column in enumerate(zip(*a)):
+        rows = [i for i, x in enumerate(column) if x]
+        if len(rows) != 1:
+            raise InternalConsistencyError(
+                f"column {j} has {len(rows)} nonzero entries, not one of a cycle"
+            )
+        image.append(rows[0])
+    # Walk the cycle from column 0: n distinct columns, then back to 0.
+    p, j, seen = Fraction(1), 0, set()
+    for _ in range(n):
+        seen.add(j)
+        p *= a[image[j]][j]
+        j = image[j]
+    if j != 0 or len(seen) != n:
+        raise InternalConsistencyError(f"the {n} x {n} matrix is not one n-cycle")
+    return [-p] + [Fraction(0)] * (n - 1) + [Fraction(1)]
 
 
 def det(a: Matrix) -> Fraction:
@@ -86,7 +71,7 @@ def det(a: Matrix) -> Fraction:
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse via Gauss-Jordan; raises ``ZeroDivisionError`` if singular."""
     n = len(a)
-    m = [row[:] + idrow for row, idrow in zip(a, identity(n))]
+    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
@@ -99,4 +84,3 @@ def mat_inverse(a: Matrix) -> Matrix:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]
-

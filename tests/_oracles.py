@@ -10,8 +10,10 @@ obstruction set, stated over those ``Fraction`` definitions, the degree-one
 an integer congruence mod ``mu``, the WDVV residual is summed term by term
 over every ``beta <= alpha`` and every ``a``, with no index of the stored
 coefficients, the multi-indices of one length are walked in full, with no
-selection rule, and the WDVV solver runs in ``Fraction`` arithmetic over
-that full walk, with the selection rule stated from the spectrum.
+selection rule, the WDVV solver runs in ``Fraction`` arithmetic over
+that full walk, with the selection rule stated from the spectrum, and the
+characteristic polynomial of any square matrix comes from the
+Faddeev-LeVerrier iteration over dense products.
 """
 
 from __future__ import annotations
@@ -353,3 +355,43 @@ def reconstruct_reference(w: Weights, max_length: int) -> Potential:
                 solver.coeff(key)
     coeffs = {key: value for key, value in solver.memo.items() if value}
     return Potential(weights=w, max_length=max_length, coeffs=coeffs)
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b) -> list[list[Fraction]]:
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            aik = ai[k]
+            if aik:
+                bk = b[k]
+                for j in range(cols):
+                    if bk[j]:
+                        oi[j] += aik * bk[j]
+    return out
+
+
+def trace(a) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def char_poly_reference(a) -> list[Fraction]:
+    """Coefficients ``c_0 .. c_n`` of ``det(X I - A)``, low degree first, for
+    any square ``A``: the Faddeev-LeVerrier iteration over dense matrices."""
+    n = len(a)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = identity(n)
+    for k in range(1, n + 1):
+        m = matmul(a, m)
+        c = -trace(m) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs

@@ -11,6 +11,7 @@ import itertools
 import time
 from fractions import Fraction as F
 
+from _oracles import char_poly_reference as char_poly
 from _oracles import kontsevich_numbers, sector_constant_ratio
 from conftest import SUITE
 from orbimirror import (
@@ -31,7 +32,6 @@ from orbimirror import (
 from orbimirror.aquantum import a0_matrix as a0_matrix_A
 from orbimirror.aquantum import hyperplane_quantum_mult, sector_constant
 from orbimirror.bside import a0_matrix as a0_matrix_B
-from orbimirror.linalg import char_poly
 
 from test_acohomology import TABLE_GAMMAS, full_table_expectations
 

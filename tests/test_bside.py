@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+from _oracles import identity, matmul
 from orbimirror import Weights, s_sequence, spectrum
 from orbimirror.bside import (
     a0_matrix,
@@ -12,7 +13,7 @@ from orbimirror.bside import (
     product,
     three_tensor,
 )
-from orbimirror.linalg import char_poly, identity, mat_inverse, matmul
+from orbimirror.linalg import char_poly, mat_inverse
 
 
 def test_omega_frame_example():

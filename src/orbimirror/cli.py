@@ -264,6 +264,9 @@ def run(cfg: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:
+        print(f"error: input too large: {exc!r}", file=sys.stderr)
+        return 2
     if cfg.format == "json":
         text = json.dumps({"weights": list(cfg.weights.w), **body}, indent=2) + "\n"
     else:

@@ -250,3 +250,32 @@ def test_internal_error_maps_to_exit_3(monkeypatch, capsys):
     code = cli.main(["mirror", "--weights", "1,2"])
     assert code == 3
     assert "stub identity failure" in capsys.readouterr().err
+
+
+def test_non_cycle_a0_maps_to_exit_3(monkeypatch, capsys):
+    # bside reads its charpoly off A0's cycle; any other matrix is a broken
+    # identity, not an input problem.
+    from fractions import Fraction
+
+    from orbimirror import bside, cli
+
+    def two_cycles(w):
+        m = [[Fraction(0)] * w.mu for _ in range(w.mu)]
+        m[0][0] = m[1][2] = m[2][1] = Fraction(1)
+        return m
+
+    monkeypatch.setattr(bside, "a0_matrix", two_cycles)
+    assert cli.main(["bside", "--weights", "1,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "internal consistency error" in err
+
+
+def test_unrepresentable_depth_maps_to_exit_2(capsys):
+    # 10**20 keys per length cannot be indexed: the solver's table raises
+    # OverflowError before it allocates anything.
+    from orbimirror import cli
+
+    argv = ["reconstruct", "--weights", "1,1", "--max-length", str(10**20), "--unsafe-large"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1

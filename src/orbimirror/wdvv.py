@@ -82,7 +82,8 @@ solve starts over at ``c + 1``.  A remainder with any other prime raises
 ``InternalConsistencyError`` (exit 3).  Every weight vector with mu <= 10
 reconstructs at length 6 with ``c <= 2``; ``(1,1,6)`` and
 ``(1,1,1,1,1,5)`` are among the 35 that need ``c = 2``, and ``(2,3,4,5,7)``
-at length 5 needs all of ``P^(|x| + 2)``.
+at length 5 needs all of ``P^(|x| + 2)``.  ``c <= 2`` does not hold at
+every depth: ``(1,1,1,1,1,5)`` needs ``c = 3`` at length 10.
 
 Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 ``S(i, j, k, l) - S(j, k, i, l)``, where

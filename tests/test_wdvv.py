@@ -531,8 +531,10 @@ def test_census_residuals_vanish():
 
 
 def test_denominator_bound_is_tight():
-    # (2,3,4,5,7) at length 5 has a coefficient that needs all of
-    # P^(|alpha| + 2).
+    # P^(|alpha| + 2) is the solver's first scale (c = 1), not a bound on
+    # the denominators: (1,1,6) needs c = 2 and (1,1,1,1,1,5) c = 3 at
+    # L = 10.  The first scale is no larger than needed: (2,3,4,5,7) at
+    # length 5 has a coefficient that needs all of it.
     p = reconstruct(Weights(2, 3, 4, 5, 7), 5)
     scale = math.prod((2, 3, 4, 5, 7))
     assert any((value * scale ** (sum(alpha) + 1)).denominator != 1

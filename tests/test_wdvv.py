@@ -602,8 +602,11 @@ def test_coeff_rejects_malformed_multi_index(alpha):
         p.coeff(alpha)
 
 
-def _spy_powers(monkeypatch) -> list[int]:
-    # Record the power c of every _Reconstructor that reconstruct builds.
+def test_second_restart_reaches_power_3(monkeypatch):
+    # (1,1,1,1,1,5) at L = 10 is the one vector found that needs c = 3; the
+    # census at L <= 8, mu <= 7 at L = 9 and (1,1,1,1,4), (1,1,1,7), (1,1,6)
+    # at L = 10 all fit c <= 2.  Its coefficients up to length 9 are the
+    # ones reconstruct gives at L = 9, where c = 2 is enough.
     powers = []
 
     class Spy(_Reconstructor):
@@ -612,16 +615,7 @@ def _spy_powers(monkeypatch) -> list[int]:
             super().__init__(w, power)
 
     monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
-    return powers
-
-
-def test_second_restart_reaches_power_3(monkeypatch):
-    # (1,1,1,1,1,5) at L = 10 is the one vector found that needs c = 3; the
-    # census at L <= 8, mu <= 7 at L = 9 and (1,1,1,1,4), (1,1,1,7), (1,1,6)
-    # at L = 10 all fit c <= 2.  Its coefficients up to length 9 are the
-    # ones reconstruct gives at L = 9, where c = 2 is enough.
     w = Weights(1, 1, 1, 1, 1, 5)
-    powers = _spy_powers(monkeypatch)
     p = reconstruct(w, 10)
     assert powers == [1, 2, 3]
     assert len(p.coeffs) == 9212

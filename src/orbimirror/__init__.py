@@ -1,69 +1,41 @@
 """Exact orbifold quantum cohomology of weighted projective spaces and the
 matching Landau-Ginzburg data, with mirror checkers and genus-0 potential
 reconstruction.  All arithmetic is exact rational arithmetic.
-"""
 
-from .combinatorics import (
-    Sector,
-    SectorData,
-    Weights,
-    age,
-    fixed_indices,
-    inverse_sector,
-    k_min,
-    s_sequence,
-    sector_dim,
-    sector_table,
-    sectors,
-    spectrum,
-)
-from .acohomology import (
-    BasisClass,
-    CohClass,
-    cup_basis,
-    degree,
-    gram_matrix,
-    ordered_basis,
-    pairing,
-    unit,
-)
-from .errors import InternalConsistencyError
-from .mirror import CheckReport, MirrorIndexMap, check_classical, check_quantum, mirror_index_map
-from .selftest import run_selftest
-from .wdvv import Potential, initial_coeffs, reconstruct, wdvv_residual
+The exports load on first use (PEP 562): ``import orbimirror`` imports no
+submodule, and ``orbimirror.reconstruct`` imports only ``wdvv`` and what it
+needs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisClass",
-    "CheckReport",
-    "CohClass",
-    "InternalConsistencyError",
-    "MirrorIndexMap",
-    "Potential",
-    "Sector",
-    "SectorData",
-    "Weights",
-    "age",
-    "check_classical",
-    "check_quantum",
-    "cup_basis",
-    "degree",
-    "fixed_indices",
-    "gram_matrix",
-    "initial_coeffs",
-    "inverse_sector",
-    "k_min",
-    "mirror_index_map",
-    "ordered_basis",
-    "pairing",
-    "reconstruct",
-    "run_selftest",
-    "s_sequence",
-    "sector_dim",
-    "sector_table",
-    "sectors",
-    "spectrum",
-    "unit",
-    "wdvv_residual",
-]
+# Each exported name and its home module.
+_HOME = {
+    name: module
+    for module, names in {
+        "combinatorics": "Sector SectorData Weights age fixed_indices inverse_sector k_min "
+        "s_sequence sector_dim sector_table sectors spectrum",
+        "acohomology": "BasisClass CohClass cup_basis degree gram_matrix ordered_basis pairing unit",
+        "errors": "InternalConsistencyError",
+        "mirror": "CheckReport MirrorIndexMap check_classical check_quantum mirror_index_map",
+        "selftest": "run_selftest",
+        "wdvv": "Potential initial_coeffs reconstruct wdvv_residual",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -24,13 +24,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import aquantum, bside, wdvv
-from .acohomology import CohClass, cup_basis, degree, gram_matrix, ordered_basis
-from .combinatorics import Weights, s_sequence, spectrum
+from .combinatorics import Weights
 from .errors import InternalConsistencyError
-from .linalg import char_poly
-from .mirror import CheckReport, check_classical, check_quantum
-from .selftest import run_selftest
 
 DEFAULT_MU_CAP = 64
 DEFAULT_MAX_LENGTH_CAP = 16
@@ -101,7 +96,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _r(x) -> str:
-    return str(Fraction(x))
+    # An int or a Fraction already prints as p/q; anything else goes through
+    # Fraction, so that a stray float still renders exactly.
+    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 
 def _elem(bc) -> dict:
@@ -124,7 +121,7 @@ def _cells(record) -> list[str]:
     return [str(record)]
 
 
-def _report_payload(report: CheckReport) -> dict:
+def _report_payload(report) -> dict:
     return {
         "status": report.status,
         "checks": report.checks,
@@ -132,60 +129,75 @@ def _report_payload(report: CheckReport) -> dict:
     }
 
 
-def _report_rows(*reports: CheckReport) -> list[tuple]:
+def _report_rows(*reports) -> list[tuple]:
     return [("check", "status", "checks", "failures")] + [
         (r.name, r.status, str(r.checks), str(len(r.failures))) for r in reports
     ]
 
 
-# Each builder returns (JSON payload without "weights", TSV rows with the
-# header first).  A payload whose "status" is FAIL exits with 1.
+# Each builder returns (JSON payload without "weights", a function of no
+# arguments that returns the TSV rows with the header first); only a TSV run
+# calls it.  A payload whose "status" is FAIL exits with 1.  A builder imports
+# the modules its command uses when it runs, so a cold run loads no others,
+# and it calls them through the module, so a patched function is seen.
 
 
 def _basis(cfg: argparse.Namespace):
+    from . import acohomology
+
     w = cfg.weights
     items = [
-        {"gamma": _r(bc.gamma), "d": bc.d, "degree": _r(degree(w, bc))}
-        for bc in ordered_basis(w)
+        {"gamma": _r(bc.gamma), "d": bc.d, "degree": _r(acohomology.degree(w, bc))}
+        for bc in acohomology.ordered_basis(w)
     ]
-    return {"mu": w.mu, "basis": items}, [("gamma", "d", "degree"), *map(_cells, items)]
+    return {"mu": w.mu, "basis": items}, lambda: [("gamma", "d", "degree"), *map(_cells, items)]
 
 
 def _cup(cfg: argparse.Namespace):
+    from . import acohomology
+
     w = cfg.weights
-    basis = ordered_basis(w)
+    basis = acohomology.ordered_basis(w)
+    elems = [_elem(bc) for bc in basis]
     table = []
-    for a in basis:
-        for b in basis:
-            coeff, target = cup_basis(w, a, b)
+    for a, a_elem in zip(basis, elems):
+        for b, b_elem in zip(basis, elems):
+            coeff, target = acohomology.cup_basis(w, a, b)
             table.append(
                 {
-                    "a": _elem(a),
-                    "b": _elem(b),
+                    "a": a_elem,
+                    "b": b_elem,
                     "coeff": _r(coeff),
                     "out": None if target is None else _elem(target),
                 }
             )
-    # A zero product has no target: null in JSON, ``0 0`` in TSV.
-    zero = {"gamma": "0", "d": 0}
-    header = ("a_gamma", "a_d", "b_gamma", "b_d", "coeff", "out_gamma", "out_d")
-    rows = [_cells({**rec, "out": rec["out"] or zero}) for rec in table]
-    return {"table": table}, [header, *rows]
+
+    def rows():
+        # A zero product has no target: null in JSON, ``0 0`` in TSV.
+        zero = {"gamma": "0", "d": 0}
+        header = ("a_gamma", "a_d", "b_gamma", "b_d", "coeff", "out_gamma", "out_d")
+        return [header, *(_cells({**rec, "out": rec["out"] or zero}) for rec in table)]
+
+    return {"table": table}, rows
 
 
 def _pairing(cfg: argparse.Namespace):
-    gram = gram_matrix(cfg.weights)
-    rows = [("row", "col", "value")] + [
-        (str(i), str(j), _r(x)) for i, row in enumerate(gram) for j, x in enumerate(row)
+    from . import acohomology
+
+    mu = cfg.weights.mu
+    matrix = _flat(acohomology.gram_matrix(cfg.weights))
+    return {"mu": mu, "matrix": matrix}, lambda: [("row", "col", "value")] + [
+        (str(k // mu), str(k % mu), v) for k, v in enumerate(matrix)
     ]
-    return {"mu": cfg.weights.mu, "matrix": _flat(gram)}, rows
 
 
 def _smallqc(cfg: argparse.Namespace):
+    from . import acohomology, aquantum
+
     w = cfg.weights
     products = []
-    for bc in ordered_basis(w):
-        image = aquantum.hyperplane_quantum_mult(w, CohClass.line(bc))
+    for bc in acohomology.ordered_basis(w):
+        image = aquantum.hyperplane_quantum_mult(w, acohomology.CohClass.line(bc))
         products.append({
             "src": _elem(bc),
             "c": _r(image.scalar),
@@ -198,49 +210,57 @@ def _smallqc(cfg: argparse.Namespace):
         "a0": _flat(aquantum.a0_matrix(w)),
         "hyperplane_products": products,
     }
-    return payload, [header, *map(_cells, products)]
+    return payload, lambda: [header, *map(_cells, products)]
 
 
 def _bside(cfg: argparse.Namespace):
+    from . import bside, combinatorics, linalg
+
     w = cfg.weights
     a0 = bside.a0_matrix(w)
     fields = {
-        "svalues": [_r(v) for v in s_sequence(w)],
-        "sigma": [_r(v) for v in spectrum(w)],
+        "svalues": [_r(v) for v in combinatorics.s_sequence(w)],
+        "sigma": [_r(v) for v in combinatorics.spectrum(w)],
         "metric": _flat(bside.metric_matrix(w)),
         "a0": _flat(a0),
-        "charpoly": [_r(c) for c in char_poly(a0)],
+        "charpoly": [_r(c) for c in linalg.char_poly(a0)],
     }
-    rows = [("field", "index", "value")] + [
+    return {"mu": w.mu, **fields}, lambda: [("field", "index", "value")] + [
         (name, str(i), v) for name, vs in fields.items() for i, v in enumerate(vs)
     ]
-    return {"mu": w.mu, **fields}, rows
 
 
 def _mirror(cfg: argparse.Namespace):
-    classical = check_classical(cfg.weights)
-    quantum = check_quantum(cfg.weights)
+    from . import mirror
+
+    classical = mirror.check_classical(cfg.weights)
+    quantum = mirror.check_quantum(cfg.weights)
     payload = {
         "status": "PASS" if classical.passed and quantum.passed else "FAIL",
         "classical": _report_payload(classical),
         "quantum": _report_payload(quantum),
     }
-    return payload, _report_rows(classical, quantum)
+    return payload, lambda: _report_rows(classical, quantum)
 
 
 def _reconstruct(cfg: argparse.Namespace):
+    from . import wdvv
+
     potential = wdvv.reconstruct(cfg.weights, cfg.max_length)
     coeffs = [
         {"alpha": list(alpha), "A": _r(value)}
         for alpha, value in potential.nonzero_items()
     ]
-    rows = [("alpha", "A")] + [(",".join(map(str, c["alpha"])), c["A"]) for c in coeffs]
-    return {"max_length": cfg.max_length, "coefficients": coeffs}, rows
+    return {"max_length": cfg.max_length, "coefficients": coeffs}, lambda: [("alpha", "A")] + [
+        (",".join(map(str, c["alpha"])), c["A"]) for c in coeffs
+    ]
 
 
 def _selftest(cfg: argparse.Namespace):
-    report = run_selftest(cfg.weights)
-    return _report_payload(report), _report_rows(report)
+    from . import selftest
+
+    report = selftest.run_selftest(cfg.weights)
+    return _report_payload(report), lambda: _report_rows(report)
 
 
 COMMANDS = {
@@ -258,6 +278,10 @@ COMMANDS = {
 def run(cfg: argparse.Namespace) -> int:
     try:
         body, rows = COMMANDS[cfg.command](cfg)
+        if cfg.format == "json":
+            text = json.dumps({"weights": list(cfg.weights.w), **body}, indent=2) + "\n"
+        else:
+            text = "".join("\t".join(row) + "\n" for row in rows())
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
@@ -267,10 +291,6 @@ def run(cfg: argparse.Namespace) -> int:
     except (OverflowError, MemoryError) as exc:
         print(f"error: input too large: {exc!r}", file=sys.stderr)
         return 2
-    if cfg.format == "json":
-        text = json.dumps({"weights": list(cfg.weights.w), **body}, indent=2) + "\n"
-    else:
-        text = "".join("\t".join(row) + "\n" for row in rows)
     try:
         if cfg.output:
             with open(cfg.output, "w", encoding="utf-8") as fh:

@@ -15,15 +15,19 @@ CLI = [sys.executable, "-m", "orbimirror.cli"]
 PACKAGE_ROOT = str(pathlib.Path(orbimirror.__file__).resolve().parents[1])
 
 
-def run_cli(*args, env=None, stdout=subprocess.PIPE):
+def child_env(env=None) -> dict:
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (PACKAGE_ROOT, full_env.get("PYTHONPATH")))
     )
     if env:
         full_env.update(env)
+    return full_env
+
+
+def run_cli(*args, env=None, stdout=subprocess.PIPE):
     return subprocess.run(
-        CLI + list(args), stdout=stdout, stderr=subprocess.PIPE, text=True, env=full_env
+        CLI + list(args), stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env(env)
     )
 
 
@@ -221,7 +225,7 @@ def test_single_weight_mirror_is_an_input_error():
 
 
 def test_checker_fail_maps_to_exit_1(monkeypatch, capsys):
-    from orbimirror import cli
+    from orbimirror import cli, mirror
     from orbimirror.mirror import CheckReport
 
     def failing(w):
@@ -229,7 +233,7 @@ def test_checker_fail_maps_to_exit_1(monkeypatch, capsys):
         report.expect(False, check="demo", detail="stub counterexample")
         return report
 
-    monkeypatch.setattr(cli, "check_classical", failing)
+    monkeypatch.setattr(mirror, "check_classical", failing)
     code = cli.main(["mirror", "--weights", "1,2"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -240,13 +244,13 @@ def test_checker_fail_maps_to_exit_1(monkeypatch, capsys):
 
 
 def test_internal_error_maps_to_exit_3(monkeypatch, capsys):
-    from orbimirror import cli
+    from orbimirror import cli, mirror
     from orbimirror.errors import InternalConsistencyError
 
     def broken(w):
         raise InternalConsistencyError("stub identity failure")
 
-    monkeypatch.setattr(cli, "check_classical", broken)
+    monkeypatch.setattr(mirror, "check_classical", broken)
     code = cli.main(["mirror", "--weights", "1,2"])
     assert code == 3
     assert "stub identity failure" in capsys.readouterr().err
@@ -279,3 +283,65 @@ def test_unrepresentable_depth_maps_to_exit_2(capsys):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# A cold run loads only the modules its command uses.  Each probe runs in a
+# fresh interpreter that writes no bytecode, as a benchmark child does.
+
+BASE_MODULES = ["cli", "combinatorics", "errors"]
+COMMAND_MODULES = {
+    "basis": ["acohomology"],
+    "cup": ["acohomology"],
+    "pairing": ["acohomology"],
+    "smallqc": ["acohomology", "aquantum", "linalg"],
+    "bside": ["bside", "linalg"],
+    "reconstruct": ["bside", "linalg", "wdvv"],
+    "mirror": ["acohomology", "aquantum", "bside", "linalg", "mirror"],
+    "selftest": ["acohomology", "aquantum", "bside", "linalg", "mirror", "selftest"],
+}
+
+
+def loaded_submodules(code: str) -> list[str]:
+    """The ``orbimirror`` submodules a fresh interpreter holds after ``code``."""
+    probe = code + (
+        "\nimport json, sys\nprint(json.dumps(sorted("
+        "m.split('.', 1)[1] for m in sys.modules if m.startswith('orbimirror.'))))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=child_env({"PYTHONDONTWRITEBYTECODE": "1"}),
+    )
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("import orbimirror") == []
+
+
+def test_cli_import_loads_only_its_own_needs():
+    assert loaded_submodules("import orbimirror.cli") == BASE_MODULES
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_command_loads_only_its_modules(command):
+    code = (
+        "import contextlib, io\nfrom orbimirror import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main([{command!r}, '--weights', '1,2']) == 0"
+    )
+    assert loaded_submodules(code) == sorted({*BASE_MODULES, *COMMAND_MODULES[command]})
+
+
+def test_exports_resolve_on_first_use():
+    import importlib
+
+    for name in orbimirror.__all__:
+        home = importlib.import_module(f"orbimirror.{orbimirror._HOME[name]}")
+        value = getattr(orbimirror, name)
+        assert value is getattr(home, name)
+    namespace = {}
+    exec("from orbimirror import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(orbimirror.__all__)
+    assert {"__all__", *orbimirror.__all__} <= set(dir(orbimirror))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        orbimirror.no_such_name

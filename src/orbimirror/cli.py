@@ -96,8 +96,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _r(x) -> str:
-    # An int or a Fraction already prints as p/q; anything else goes through
-    # Fraction, so that a stray float still renders exactly.
+    """``x`` as ``p/q``.  An int or a Fraction prints so already; any other
+    number goes through Fraction, so that a stray float renders exactly.
+
+    >>> _r(Fraction(6, 4)), _r(3), _r(0.5), _r(True)
+    ('3/2', '3', '1/2', '1')
+    """
     return str(x) if type(x) in (int, Fraction) else str(Fraction(x))
 
 

@@ -102,13 +102,13 @@ def inverse_sector(g: Sector) -> Sector:
 
 @lru_cache(maxsize=None)
 def sectors(w: Weights) -> tuple[Sector, ...]:
-    """All distinct sectors of ``w``, sorted ascending (identity first).
+    """All distinct sectors of ``w``, sorted ascending (identity first): the
+    distinct values of the s-sequence, in its order.
 
     >>> sectors(Weights(1, 2, 2, 3, 3, 3))
     (Fraction(0, 1), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
     """
-    vals = {Fraction(l, wi) for wi in w for l in range(wi)}
-    return tuple(sorted(vals))
+    return tuple(dict.fromkeys(s_sequence(w)))
 
 
 def _record(w: Weights, g: Sector) -> SectorData:

@@ -13,9 +13,9 @@ from .errors import InternalConsistencyError
 Matrix = list[list[Fraction]]
 
 
-def zeros(rows: int, cols: int | None = None) -> Matrix:
-    cols = rows if cols is None else cols
-    return [[Fraction(0)] * cols for _ in range(rows)]
+def zeros(n: int) -> Matrix:
+    """The ``n x n`` zero matrix."""
+    return [[Fraction(0)] * n for _ in range(n)]
 
 
 def char_poly(a: Matrix) -> list[Fraction]:

@@ -49,13 +49,28 @@ walks the slots ``1 .. mu-1`` in order and enters a branch only if some
 filling of the slots after it passes both rules, read off a table of the
 largest degree that ``r`` units on slots ``k .. mu-1`` can add at each
 charge mod ``mu``; so it yields exactly the admissible keys with
-``alpha_0 = 0``, one at a time.  Inside the solver ``coeff`` returns the zero
-of an inadmissible key at once, a chain stops at such a state, and of each
-interior sum over ``a`` in an equation it keeps the one charge-compatible
-term.  The solver's memo is the potential: it starts as the nonzero cubic
-data, every coefficient solved is stored in it, and ``reconstruct`` returns
-its nonzero entries.  ``wdvv_residual`` does not use the rule, so a residual
-sweep stays an independent check of the solver, and of the rule itself.
+``alpha_0 = 0``, one at a time.  The rule is tested in that walk and in a
+chain's stop test alone, where a chain stops at a state that fails the
+degree rule; of each interior sum over ``a`` in an equation the solver keeps
+the one term the charge grading allows.
+
+Store and read.  The solver's memo is the potential.  Every value enters it
+through one store, which, while the value is nonzero, ``alpha_0 = 0`` and
+``|alpha| < max_length``, also writes ``alpha + e_1`` by the scaling
+identity.  The memo starts as the nonzero cubic data, stored so; each
+walked key with ``alpha_1 = 0`` that is not yet stored starts a chain, which
+stores every state it solves; a walked key with ``alpha_1 > 0`` was written
+forward, or is zero.  An equation reads a key the memo lacks as zero.  The
+read is sound because an equation at length ``N`` touches only shorter keys
+(solved earlier in the walk), keys of length ``N`` with ``alpha_1 > 0``
+(written forward from length ``N - 1``), the chain's next state (solved by
+the step before) and exact zeros: a key with a unit slot, or one that fails
+the selection rule.  A forward write keeps the charge rule, and the degree
+rule too: for ``n >= 1``, ``sigma(1) = 1`` and ``d(alpha + e_1) =
+d(alpha)``, and for ``n = 0`` every cubic datum has ``d = 0``, so nothing is
+written forward.  ``reconstruct`` returns the memo's nonzero entries.
+``wdvv_residual`` does not use the rule, so a residual sweep stays an
+independent check of the solver, and of the rule itself.
 
 Integer layer.  The solver runs on ``int`` numerators.  With
 ``P = prod(w)`` and a power ``c >= 1`` its memo holds
@@ -270,11 +285,6 @@ def _bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
     return tuple(out)
 
 
-def _charge(alpha: MultiIndex) -> int:
-    """``sum_k k alpha_k``, the charge of ``alpha`` in the selection rule."""
-    return sum(k * x for k, x in enumerate(alpha) if x)
-
-
 def _sub_indices(alpha: MultiIndex):
     """All ``beta <= alpha`` componentwise with the product of binomials."""
     for beta in iter_product(*[range(x + 1) for x in alpha]):
@@ -282,71 +292,58 @@ def _sub_indices(alpha: MultiIndex):
 
 
 class _Reconstructor:
-    """Memoized coefficient solver in ``int``; see the module docstring for
-    the rules and the integer layer.
+    """Coefficient solver in ``int`` that writes its memo forward and reads
+    it back; see the module docstring for the rules, the read invariant and
+    the integer layer.
 
     ``memo[x]`` is the numerator ``N(x) = A(x) scale^(|x| + 2)``, where
-    ``scale = P^power`` and ``P = prod(w)``.
+    ``scale = P^power`` and ``P = prod(w)``.  Every value enters through
+    ``_store``: the nonzero cubic data when the solver is built, and each
+    chain state as ``_chain`` solves it.  A key the memo lacks is an exact
+    zero by the time an equation reads it.
     """
 
-    def __init__(self, w: Weights, power: int = 1):
+    def __init__(self, w: Weights, max_length: int, power: int = 1):
         if w.mu < 2:
             raise ValueError("reconstruction needs mu >= 2")
         self.w = w
         self.mu = w.mu
+        self.max_length = max_length
         self.dual, self.ginv = _metric_diagonal(w)
         self.degrees = _degree_table(w)
         self.scale = math.prod(w) ** power
-        # Every coefficient solved so far, seeded with the nonzero cubic data.
+        self.memo: dict[MultiIndex, int] = {}
         zero = (0,) * w.mu
         cube = self.scale**5
-        self.memo: dict[MultiIndex, int] = {
-            _bump(zero, *triple): _exact(
+        for triple, value in initial_coeffs(w).items():
+            datum = _exact(
                 value.numerator * cube, value.denominator, "cubic datum", triple,
                 scale=self.scale,
             )
-            for triple, value in initial_coeffs(w).items()
-        }
+            self._store(_bump(zero, *triple), datum)
 
-    # -- basic rules ------------------------------------------------------
-
-    def admissible(self, alpha: MultiIndex) -> bool:
-        """The selection rule: ``A(alpha)`` can be nonzero only if ``alpha``
-        passes the charge rule and ``d(alpha) >= 0``."""
-        if _charge(alpha) % self.mu != (self.w.n + sum(alpha) - 3) % self.mu:
-            return False
-        return _scaled_weight(self.degrees, alpha) >= 0
-
-    def coeff(self, key: MultiIndex) -> int:
-        # The memo holds admissible keys only (the nonzero cubic data passes
-        # the rule), so a hit needs no rule check.
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        if not self.admissible(key):
-            return 0
-        if key[0] >= 1 or sum(key) == 3:
-            # The flat unit, or cubic data the seed holds no value for.
-            value = 0
-        elif key[1] >= 1:
-            # N(prev + e_1) = N(prev) scale D d(prev) / (D mu).
-            prev = (key[0], key[1] - 1) + key[2:]
+    def _store(self, key: MultiIndex, value: int) -> None:
+        """Memoise ``N(key)``, and while the value is nonzero, ``key_0 = 0``
+        and ``|key| < max_length``, its scaling image ``N(key + e_1) =
+        N(key) scale D d(key) / (D mu)`` too."""
+        memo = self.memo
+        memo[key] = value
+        length = sum(key)
+        while value and not key[0] and length < self.max_length:
+            weight = _scaled_weight(self.degrees, key)
+            key = (0, key[1] + 1) + key[2:]
             value = _exact(
-                self.coeff(prev) * self.scale * _scaled_weight(self.degrees, prev),
-                self.degrees[0] * self.mu,
-                "scaling step to",
-                key,
-                scale=self.scale,
+                value * self.scale * weight, self.degrees[0] * self.mu,
+                "scaling step to", key, scale=self.scale,
             )
-        else:
-            value = self._chain(key)
-        self.memo[key] = value
-        return value
+            memo[key] = value
+            length += 1
 
     # -- the WDVV chain ---------------------------------------------------
 
-    def _chain(self, key: MultiIndex) -> int:
-        """Solve for ``N(key)`` with ``key`` supported on indices >= 2."""
+    def _chain(self, key: MultiIndex) -> None:
+        """Solve and store ``N(key)``, ``key`` supported on indices >= 2,
+        together with the chain states it rests on."""
         mu = self.mu
         support = [i for i, x in enumerate(key) if x]
         m = support[0]
@@ -358,18 +355,12 @@ class _Reconstructor:
         rest[l0] -= 1
         alpha = tuple(rest)
 
-        def state_key(t: int) -> MultiIndex:
-            out = list(alpha)
-            out[m - t] += 1
-            out[k_slot] += 1
-            out[(l0 + t) % mu] += 1
-            return tuple(out)
-
-        # Walk forward until a directly-known state.  Every state has the
-        # charge of ``key``; one that fails the degree rule is a known zero.
+        # Walk forward until a state that is stored, has a slot 0 or 1 (stored
+        # by scaling, or zero) or fails the degree rule (zero).  Every state
+        # has the charge of ``key``.
         t_stop = 1
         while True:
-            kt = state_key(t_stop)
+            kt = _bump(alpha, m - t_stop, k_slot, (l0 + t_stop) % mu)
             if (
                 kt in self.memo
                 or (m - t_stop) <= 1
@@ -390,18 +381,19 @@ class _Reconstructor:
             for beta, binom in _sub_indices(alpha)
         ]
         # The equation at ``t`` reads state ``t + 1``: the step before it
-        # memoised that state, or ``coeff`` settles it for ``t + 1 = t_stop``.
+        # stored that state, or it is the stop state ``t_stop``.
         for t in range(t_stop - 1, -1, -1):
-            value = self._solve_equation(terms, m - t - 1, k_slot, (l0 + t) % mu)
-            self.memo[state_key(t)] = value
-        return value
+            l = (l0 + t) % mu
+            value = self._solve_equation(terms, m - t - 1, k_slot, l)
+            self._store(_bump(alpha, m - t, k_slot, l), value)
 
     def _solve_equation(self, terms: list, j: int, k: int, l: int) -> int:
         """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at ``alpha``,
         the ``alpha - beta`` of the first of ``terms``.
 
         The unknown ``A(alpha + e_{1+j} + e_k + e_l)`` is the left-side term
-        at ``beta = 0``; every other term is known, including the other
+        at ``beta = 0``; every other term is stored or an exact zero (the
+        read invariant of the module docstring), including the other
         top-length one ``A(alpha + e_j + e_k + e_{(1+l) mod mu})`` (right side,
         ``beta = alpha``).  On numerators the ``P`` powers cancel: ``N`` of
         the unknown is the sum of ``binom ginv[a] N N`` over the known terms,
@@ -410,7 +402,7 @@ class _Reconstructor:
         mu = self.mu
         dual = self.dual
         ginv = self.ginv
-        coeff = self.coeff
+        get = self.memo.get
         origin = terms[0][0]
         total = 0
         pivot = 0
@@ -418,16 +410,16 @@ class _Reconstructor:
         # factor the right charge can be nonzero.
         for beta, gamma, binom, shift in terms:
             a = (shift - j - 1) % mu
-            f1 = coeff(_bump(beta, 1, j, a))
+            f1 = get(_bump(beta, 1, j, a), 0)
             if beta is origin:
                 # The unknown's own term: keep its coefficient as the pivot.
                 pivot = ginv[a] * f1
             elif f1:
-                total -= binom * ginv[a] * f1 * coeff(_bump(gamma, dual[a], k, l))
+                total -= binom * ginv[a] * f1 * get(_bump(gamma, dual[a], k, l), 0)
             a = (shift - j - k) % mu
-            h1 = coeff(_bump(beta, j, k, a))
+            h1 = get(_bump(beta, j, k, a), 0)
             if h1:
-                total += binom * ginv[a] * h1 * coeff(_bump(gamma, dual[a], 1, l))
+                total += binom * ginv[a] * h1 * get(_bump(gamma, dual[a], 1, l), 0)
         alpha = terms[0][1]
         if not pivot:
             raise InternalConsistencyError(
@@ -452,7 +444,7 @@ def _admissible_keys(w: Weights, max_length: int):
     _, base, steps = _degree_table(w)
     # ``best[mu]``: no slots left, so only zero units, of charge 0.
     best = [[]] * mu + [[{0: 0}] + [{}] * max_length]
-    for k in range(mu - 1, 0, -1):
+    for k in range(mu - 1, 1, -1):
         best[k] = [{} for _ in range(max_length + 1)]
         for r, row in enumerate(best[k]):
             for x in range(r + 1):
@@ -477,11 +469,13 @@ def _admissible_keys(w: Weights, max_length: int):
                 key[k] = x
                 yield from walk(k + 1, r - x, c, d)
 
-    for length in range(4, max_length + 1):
-        charge = (w.n + length - 3) % mu
-        top = best[1][length].get(charge)
-        if top is not None and base + top >= 0:
-            yield from walk(1, length, charge, base)
+    # Returned, not yielded, so the call builds the table above: a depth it
+    # cannot index fails before the solver is seeded.
+    return (
+        alpha
+        for length in range(4, max_length + 1)
+        for alpha in walk(1, length, (w.n + length - 3) % mu, base)
+    )
 
 
 def reconstruct(w: Weights, max_length: int) -> Potential:
@@ -497,14 +491,17 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     if type(max_length) is not int or max_length < 3:
         raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
     # Multi-indices with a unit slot, and those the rule forces to zero, are
-    # never walked.  A division that needs more powers of ``P`` starts the
-    # solve over with one more (see the integer layer).
+    # never walked; a walked key with a slot-1 entry was stored by scaling
+    # when its source was, or is zero.  A division that needs more powers of
+    # ``P`` starts the solve over with one more (see the integer layer).
     power = 1
     while True:
+        keys = _admissible_keys(w, max_length)
         try:
-            rec = _Reconstructor(w, power)
-            for key in _admissible_keys(w, max_length):
-                rec.coeff(key)
+            rec = _Reconstructor(w, max_length, power)
+            for key in keys:
+                if not key[1] and key not in rec.memo:
+                    rec._chain(key)
             break
         except _Rescale:
             power += 1

@@ -231,7 +231,6 @@ def test_selection_rule_on_cubic_data(suite_weights):
     # of the cubic data, and the degree rule reads sigma_i + sigma_j +
     # sigma_k >= n.
     w = suite_weights
-    rec = _Reconstructor(w)
     sigma = spectrum(w)
     table = initial_coeffs(w)
     for i, j, k in itertools.combinations_with_replacement(range(w.mu), 3):
@@ -240,7 +239,7 @@ def test_selection_rule_on_cubic_data(suite_weights):
             alpha[idx] += 1
         congruent = (i + j + k) % w.mu == w.n % w.mu
         degree_ok = sigma[i] + sigma[j] + sigma[k] >= w.n
-        assert rec.admissible(tuple(alpha)) == (congruent and degree_ok), (i, j, k)
+        assert _passes_selection_rule(w, alpha) == (congruent and degree_ok), (i, j, k)
         if (i, j, k) in table:
             assert congruent and degree_ok, (w, i, j, k)
 
@@ -283,9 +282,11 @@ def test_degree_table_refuses_a_non_integral_entry(monkeypatch):
 def test_admissible_keys_match_reference_walk(wt):
     # The walk yields exactly the full walk filtered by the rule, in order.
     w = Weights(wt)
-    rec = _Reconstructor(w)
     got = list(_admissible_keys(w, 6))
-    assert got == _reference_keys(w, range(4, 7), rec.admissible), w
+    expected = _reference_keys(
+        w, range(4, 7), lambda alpha: _passes_selection_rule(w, alpha)
+    )
+    assert got == expected, w
 
 
 @pytest.mark.parametrize(
@@ -522,6 +523,34 @@ def test_census_reconstructs_to_oracle(mu):
             assert got == reconstruct_reference(w, 6).nonzero_items(), wt
 
 
+def test_solver_reads_no_absent_nonzero_key(monkeypatch):
+    # The solver reads an absent key as zero.  Every key it reads and lacks,
+    # over these walks, must be a zero of the Fraction solver's potential.
+    # Rank 2 needs no chain, so some vectors read nothing.
+    misses = set()
+    read = 0
+
+    class MissLog(dict):
+        def get(self, key, default=None):
+            if key not in self:
+                misses.add(key)
+            return super().get(key, default)
+
+    class Spy(_Reconstructor):
+        def __init__(self, w, max_length, power=1):
+            super().__init__(w, max_length, power)
+            self.memo = MissLog(self.memo)
+
+    monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
+    for wt in SMALL_SUITE + [(1, 1, 6), (1, 1, 1, 1, 1, 5)]:
+        w = Weights(wt)
+        misses.clear()
+        reconstruct(w, 6)
+        read += len(misses)
+        assert not misses & reconstruct_reference(w, 6).coeffs.keys(), wt
+    assert read
+
+
 @pytest.mark.slow
 def test_census_residuals_vanish():
     # Every (i, j, k, l) at |alpha| <= 1 on every census vector, reconstructed
@@ -610,9 +639,9 @@ def test_second_restart_reaches_power_3(monkeypatch):
     powers = []
 
     class Spy(_Reconstructor):
-        def __init__(self, w, power=1):
+        def __init__(self, w, max_length, power=1):
             powers.append(power)
-            super().__init__(w, power)
+            super().__init__(w, max_length, power)
 
     monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
     w = Weights(1, 1, 1, 1, 1, 5)

@@ -14,17 +14,18 @@ over multi-indices ``alpha`` in N^mu, subject to
 
 Everything of length >= 4 is forced:  indices touching slot 0 or slot 1 are
 settled by the unit and scaling rules, and a multi-index supported on
-``{2, ..., mu-1}`` is solved by a chain of WDVV equations ``(1, j, k, l)``.
+``{2, ..., mu-1}`` is solved by one WDVV equation ``(1, j, k, l)``.
 In that equation the two length-``|alpha|+3`` unknowns are
 ``A(alpha + e_{1+j} + e_k + e_l)`` and ``A(alpha + e_j + e_k + e_{1+l})``
 (all other top terms carry a slot-1 factor and reduce by scaling), and the
 coefficient of each is a nonzero cubic number times an inverse metric
-entry, so each chain step is an exact division.  Walking ``j`` down and
-``l`` up, the chain terminates as soon as a slot reaches 0 or 1.
+entry, so once the second is known the first is an exact division.  The
+solver walks its unknowns in an order that solves the second first (see
+"Store and read").
 
 The decomposition rule used here (peel the smallest support index first)
-guarantees the two unknowns of every chain equation are distinct
-multi-indices, so no step degenerates.
+guarantees the two unknowns of every equation are distinct multi-indices,
+so no equation degenerates.
 
 Selection rule.  ``A(alpha) = 0`` unless ``alpha`` passes both of
 
@@ -45,27 +46,32 @@ the dot product of ``alpha`` with the integers ``D (sigma(k) - 1)``, stored
 once per weight vector; ``scaling_weight`` is its ``Fraction`` view.
 
 The solver never visits a key the rule forces to zero.  ``reconstruct``
-walks the slots ``1 .. mu-1`` in order and enters a branch only if some
-filling of the slots after it passes both rules, read off a table of the
-largest degree that ``r`` units on slots ``k .. mu-1`` can add at each
-charge mod ``mu``; so it yields exactly the admissible keys with
-``alpha_0 = 0``, one at a time.  The rule is tested in that walk and in a
-chain's stop test alone, where a chain stops at a state that fails the
-degree rule; of each interior sum over ``a`` in an equation the solver keeps
-the one term the charge grading allows.
+walks the slots ``2 .. mu-1`` in order, each from its most units down, and
+enters a branch only if some filling of the slots after it passes both
+rules, read off a table of the largest degree that ``r`` units on slots
+``k .. mu-1`` can add at each charge mod ``mu``; so it yields exactly the
+admissible keys with ``alpha_0 = alpha_1 = 0``, one at a time.  The rule is
+tested in that walk alone; of each interior sum over ``a`` in an equation
+the solver keeps the one term the charge grading allows.
 
 Store and read.  The solver's memo is the potential.  Every value enters it
 through one store, which, while the value is nonzero, ``alpha_0 = 0`` and
 ``|alpha| < max_length``, also writes ``alpha + e_1`` by the scaling
-identity.  The memo starts as the nonzero cubic data, stored so; each
-walked key with ``alpha_1 = 0`` that is not yet stored starts a chain, which
-stores every state it solves; a walked key with ``alpha_1 > 0`` was written
-forward, or is zero.  An equation reads a key the memo lacks as zero.  The
-read is sound because an equation at length ``N`` touches only shorter keys
-(solved earlier in the walk), keys of length ``N`` with ``alpha_1 > 0``
-(written forward from length ``N - 1``), the chain's next state (solved by
-the step before) and exact zeros: a key with a unit slot, or one that fails
-the selection rule.  A forward write keeps the charge rule, and the degree
+identity.  The memo starts as the nonzero cubic data, stored so; then
+each walked key is solved by its one equation and stored.  A key with a
+slot 0 or 1 is never walked: it was written forward, or is zero.  An
+equation reads a key the memo lacks as zero.  The read is sound by the
+order of the walk: by length, and within a length in descending
+lexicographic order.  A walked key ``alpha + e_m + e_k + e_l`` of length
+``N``, ``m`` its smallest support index, is solved by ``(1, m - 1, k, l)``
+at ``alpha``.  The equation's other unknown of length ``N``, ``alpha +
+e_{m-1} + e_k + e_{(l+1) mod mu}``, has a unit at slot ``m - 1``, where the
+key has none.  So it has a slot 0 or 1 (written forward, or zero), or it
+fails the selection rule (zero), or else it differs from the key only from
+slot ``m - 1`` on, is lexicographically larger, and was solved earlier at
+this length.  Every other term is shorter (solved at an earlier length), or
+has ``alpha_1 > 0`` (written forward from length ``N - 1``), or has a slot
+0 (zero).  A forward write keeps the charge rule, and the degree
 rule too: for ``n >= 1``, ``sigma(1) = 1`` and ``d(alpha + e_1) =
 d(alpha)``, and for ``n = 0`` every cubic datum has ``d = 0``, so nothing is
 written forward.  ``reconstruct`` returns the memo's nonzero entries.
@@ -76,7 +82,7 @@ Integer layer.  The solver runs on ``int`` numerators.  With
 ``P = prod(w)`` and a power ``c >= 1`` its memo holds
 ``N(x) = A(x) P^(c (|x| + 2))``; the inverse metric entries ``g^{aa*}`` are
 integers (products of weights), and the cubic data enters as ``A P^(5c)``.
-In a chain equation every product of two known terms has its ``P`` powers
+In an equation every product of two known terms has its ``P`` powers
 summing to ``c (|alpha| + 10)``, as does the pivot times the unknown, so
 ``N`` of the unknown is the integer sum of ``binom g^{aa*} N N`` over the
 known terms divided by ``g^{aa*} N`` of the pivot's cubic datum.  The
@@ -87,7 +93,7 @@ memo to ``Potential``.  The scaling division is always exact, because by
 the charge rule ``d(x) / mu`` is an integer minus ``sum_k x_k s(k)``, whose
 denominator divides ``D``, which divides ``P``.  A pivot is ``g^{aa*}``
 times a cubic datum, a ratio of weight powers, so the recursion alone shows
-only that every ``A(x)`` lies in ``Z[1/P]``: each chain step may add the
+only that every ``A(x)`` lies in ``Z[1/P]``: each equation may add the
 ``P``-adic valuation of its pivot to the exponent.  No fixed ``c`` is
 proved; ``c = 1`` is false: the cubic datum ``A(3 e_5)`` of
 ``(1,1,1,1,1,5)`` is ``5^-6``, against ``P^5 = 5^5``.  So ``c`` is found by
@@ -200,7 +206,9 @@ class Potential:
     ``coeffs`` is a read-only copy of the mapping it is built from, so the
     residual tables cached on the potential cannot go stale; a changed
     potential is a new one (``dataclasses.replace``) with tables of its own.
-    Raises ``ValueError`` if a key is not in N^mu.
+    Raises ``ValueError`` unless ``max_length`` is a plain ``int`` of at
+    least 3 and every key is in N^mu with ``3 <= |alpha| <= max_length``:
+    a potential holds no key its own ``coeff`` refuses.
     """
 
     weights: Weights
@@ -208,9 +216,13 @@ class Potential:
     coeffs: Mapping[MultiIndex, Fraction]
 
     def __post_init__(self):
+        max_length = _check_depth(self.max_length)
         coeffs = dict(self.coeffs)
         for key in coeffs:
-            _multi_index(key, self.weights.mu)
+            if not 3 <= sum(_multi_index(key, self.weights.mu)) <= max_length:
+                raise ValueError(
+                    f"multi-index {key} has a length outside 3..{max_length}"
+                )
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
@@ -230,6 +242,14 @@ class Potential:
     @cached_property
     def _residual_tables(self) -> _ResidualTables:
         return _ResidualTables(self)
+
+
+def _check_depth(max_length) -> int:
+    """``max_length``, or ``ValueError`` unless it is a plain ``int`` (not a
+    ``bool``) of at least 3."""
+    if type(max_length) is not int or max_length < 3:
+        raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
+    return max_length
 
 
 def _multi_index(alpha, mu: int) -> MultiIndex:
@@ -299,8 +319,9 @@ class _Reconstructor:
     ``memo[x]`` is the numerator ``N(x) = A(x) scale^(|x| + 2)``, where
     ``scale = P^power`` and ``P = prod(w)``.  Every value enters through
     ``_store``: the nonzero cubic data when the solver is built, and each
-    chain state as ``_chain`` solves it.  A key the memo lacks is an exact
-    zero by the time an equation reads it.
+    walked key as ``_solve`` solves it from one equation.  Fed the keys of
+    ``_admissible_keys`` in their order, the solver finds every key the memo
+    lacks an exact zero by the time an equation reads it.
     """
 
     def __init__(self, w: Weights, max_length: int, power: int = 1):
@@ -313,6 +334,8 @@ class _Reconstructor:
         self.degrees = _degree_table(w)
         self.scale = math.prod(w) ** power
         self.memo: dict[MultiIndex, int] = {}
+        self._alpha: MultiIndex | None = None
+        self._terms: list = []
         zero = (0,) * w.mu
         cube = self.scale**5
         for triple, value in initial_coeffs(w).items():
@@ -339,65 +362,46 @@ class _Reconstructor:
             memo[key] = value
             length += 1
 
-    # -- the WDVV chain ---------------------------------------------------
+    # -- one WDVV equation per unknown ------------------------------------
 
-    def _chain(self, key: MultiIndex) -> None:
-        """Solve and store ``N(key)``, ``key`` supported on indices >= 2,
-        together with the chain states it rests on."""
-        mu = self.mu
-        support = [i for i, x in enumerate(key) if x]
-        m = support[0]
+    def _solve(self, key: MultiIndex) -> None:
+        """Solve and store ``N(key)``, ``key`` supported on indices >= 2, by
+        WDVV ``(1, m - 1, k, l)`` at ``alpha = key - e_m - e_k - e_l``."""
+        m = next(i for i, x in enumerate(key) if x)
         rest = list(key)
         rest[m] -= 1
-        k_slot = max(i for i, x in enumerate(rest) if x)
-        rest[k_slot] -= 1
-        l0 = max(i for i, x in enumerate(rest) if x)
-        rest[l0] -= 1
+        k = max(i for i, x in enumerate(rest) if x)
+        rest[k] -= 1
+        l = max(i for i, x in enumerate(rest) if x)
+        rest[l] -= 1
         alpha = tuple(rest)
-
-        # Walk forward until a state that is stored, has a slot 0 or 1 (stored
-        # by scaling, or zero) or fails the degree rule (zero).  Every state
-        # has the charge of ``key``.
-        t_stop = 1
-        while True:
-            kt = _bump(alpha, m - t_stop, k_slot, (l0 + t_stop) % mu)
-            if (
-                kt in self.memo
-                or (m - t_stop) <= 1
-                or (l0 + t_stop) % mu <= 1
-                or _scaled_weight(self.degrees, kt) < 0
-            ):
-                break
-            t_stop += 1
-        # Every equation of the chain is at ``alpha``: split it once into
-        # ``(beta, alpha - beta, binom(alpha, beta), n + |beta| - charge(beta))``,
-        # ``beta = 0`` first; ``|beta| - charge(beta)`` is ``-sum_k (k - 1)
-        # beta_k``.  The list lives as long as the chain.
-        n = self.w.n
-        lowered = range(-1, mu - 1)
-        terms = [
-            (beta, tuple(map(operator.sub, alpha, beta)), binom,
-             n - sum(map(operator.mul, lowered, beta)))
-            for beta, binom in _sub_indices(alpha)
-        ]
-        # The equation at ``t`` reads state ``t + 1``: the step before it
-        # stored that state, or it is the stop state ``t_stop``.
-        for t in range(t_stop - 1, -1, -1):
-            l = (l0 + t) % mu
-            value = self._solve_equation(terms, m - t - 1, k_slot, l)
-            self._store(_bump(alpha, m - t, k_slot, l), value)
+        # Split the equation once per ``alpha`` into ``(beta, alpha - beta,
+        # binom(alpha, beta), n + |beta| - charge(beta))``, ``beta = 0``
+        # first; ``|beta| - charge(beta)`` is ``-sum_k (k - 1) beta_k``.  Keys
+        # walked in a row often share ``alpha``, so the last split is kept.
+        if alpha != self._alpha:
+            n = self.w.n
+            lowered = range(-1, self.mu - 1)
+            self._terms = [
+                (beta, tuple(map(operator.sub, alpha, beta)), binom,
+                 n - sum(map(operator.mul, lowered, beta)))
+                for beta, binom in _sub_indices(alpha)
+            ]
+            self._alpha = alpha
+        self._store(key, self._solve_equation(self._terms, m - 1, k, l))
 
     def _solve_equation(self, terms: list, j: int, k: int, l: int) -> int:
         """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at ``alpha``,
         the ``alpha - beta`` of the first of ``terms``.
 
         The unknown ``A(alpha + e_{1+j} + e_k + e_l)`` is the left-side term
-        at ``beta = 0``; every other term is stored or an exact zero (the
-        read invariant of the module docstring), including the other
-        top-length one ``A(alpha + e_j + e_k + e_{(1+l) mod mu})`` (right side,
-        ``beta = alpha``).  On numerators the ``P`` powers cancel: ``N`` of
-        the unknown is the sum of ``binom ginv[a] N N`` over the known terms,
-        divided by ``ginv[a] N`` of the cubic datum at ``beta = 0``.
+        at ``beta = 0``.  The other top-length one, ``A(alpha + e_j + e_k +
+        e_{(1+l) mod mu})`` (right side, ``beta = alpha``), comes earlier in
+        the walk, has a slot 0 or 1, or fails the selection rule; so it and
+        every other term are stored or exact zeros (the read invariant of
+        the module docstring).  On numerators the ``P`` powers cancel: ``N``
+        of the unknown is the sum of ``binom ginv[a] N N`` over the known
+        terms, divided by ``ginv[a] N`` of the cubic datum at ``beta = 0``.
         """
         mu = self.mu
         dual = self.dual
@@ -432,13 +436,16 @@ class _Reconstructor:
 
 
 def _admissible_keys(w: Weights, max_length: int):
-    """Every ``alpha`` with ``alpha_0 = 0`` and ``4 <= |alpha| <= max_length``
-    that passes the selection rule, by length and then lexicographically.
+    """The unknowns of the solver: every ``alpha`` with ``alpha_0 = alpha_1 =
+    0`` and ``4 <= |alpha| <= max_length`` that passes the selection rule, by
+    length and, within a length, in descending lexicographic order.  For
+    ``mu = 2`` there is none.
 
     ``best[k][r]`` maps each charge mod ``mu`` that ``r`` units on the slots
     ``k .. mu-1`` can carry to the largest ``D d`` they can add.  The walk
-    fills the slots in order and enters a branch only if ``best`` says the
-    slots after it can still meet both rules, so every branch yields a key.
+    fills the slots from slot 2 on, each from its most units down, and
+    enters a branch only if ``best`` says the slots after it can still meet
+    both rules, so every branch yields a key.
     """
     mu = w.mu
     _, base, steps = _degree_table(w)
@@ -462,7 +469,7 @@ def _admissible_keys(w: Weights, max_length: int):
             key[k:] = [0] * (mu - k)
             yield tuple(key)
             return
-        for x in range(r + 1):
+        for x in range(r, -1, -1):
             c, d = (charge - k * x) % mu, degree + x * steps[k]
             top = best[k + 1][r - x].get(c)
             if top is not None and d + top >= 0:
@@ -470,11 +477,12 @@ def _admissible_keys(w: Weights, max_length: int):
                 yield from walk(k + 1, r - x, c, d)
 
     # Returned, not yielded, so the call builds the table above: a depth it
-    # cannot index fails before the solver is seeded.
+    # cannot index fails before the solver is seeded.  With ``mu = 2`` there
+    # is no slot 2 to start from.
     return (
         alpha
-        for length in range(4, max_length + 1)
-        for alpha in walk(1, length, (w.n + length - 3) % mu, base)
+        for length in (range(4, max_length + 1) if mu > 2 else ())
+        for alpha in walk(2, length, (w.n + length - 3) % mu, base)
     )
 
 
@@ -488,11 +496,10 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     Raises ``ValueError`` unless ``max_length`` is a plain ``int`` (not a
     ``bool``) of at least 3 and ``mu >= 2``; ``max_length`` is checked first.
     """
-    if type(max_length) is not int or max_length < 3:
-        raise ValueError(f"max_length must be an integer >= 3, got {max_length!r}")
-    # Multi-indices with a unit slot, and those the rule forces to zero, are
-    # never walked; a walked key with a slot-1 entry was stored by scaling
-    # when its source was, or is zero.  A division that needs more powers of
+    _check_depth(max_length)
+    # Multi-indices with a slot 0 or 1, and those the rule forces to zero,
+    # are never walked; a key with a slot-1 entry was stored by scaling when
+    # its source was, or is zero.  A division that needs more powers of
     # ``P`` starts the solve over with one more (see the integer layer).
     power = 1
     while True:
@@ -500,8 +507,7 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
         try:
             rec = _Reconstructor(w, max_length, power)
             for key in keys:
-                if not key[1] and key not in rec.memo:
-                    rec._chain(key)
+                rec._solve(key)
             break
         except _Rescale:
             power += 1
@@ -519,22 +525,14 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
 def _third_derivatives(key: MultiIndex):
     """Every ordered ``(x, y, z)`` with ``base = key - e_x - e_y - e_z`` in
     N^mu, as ``(base, x, y, z)``: ``A(key)`` is ``F_xyz(base)``."""
-    rest = list(key)
-    for x, cx in enumerate(key):
-        if not cx:
-            continue
-        rest[x] -= 1
-        for y in range(len(rest)):
-            if not rest[y]:
-                continue
-            rest[y] -= 1
-            for z in range(len(rest)):
-                if rest[z]:
-                    rest[z] -= 1
-                    yield tuple(rest), x, y, z
-                    rest[z] += 1
-            rest[y] += 1
-        rest[x] += 1
+    support = [i for i, x in enumerate(key) if x]
+    for x, y, z in iter_product(support, repeat=3):
+        base = list(key)
+        base[x] -= 1
+        base[y] -= 1
+        base[z] -= 1
+        if min(base) >= 0:
+            yield tuple(base), x, y, z
 
 
 class _ResidualTables:

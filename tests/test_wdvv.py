@@ -32,6 +32,7 @@ from orbimirror.bside import metric
 from orbimirror.combinatorics import spectrum
 from orbimirror.wdvv import (
     _admissible_keys,
+    _bump,
     _degree_table,
     _Reconstructor,
     _scaled_weight,
@@ -54,13 +55,15 @@ def _passes_selection_rule(w, alpha):
 
 
 def _reference_keys(w, lengths, rule):
-    """The full walk over ``(0,) + tail`` at each length, filtered by
-    ``rule``."""
+    """The full walk over ``(0, 0) + tail`` at each length, in descending
+    order, filtered by ``rule``; nothing when mu = 2."""
+    if w.mu == 2:
+        return []
     return [
-        (0,) + tail
+        (0, 0) + tail
         for length in lengths
-        for tail in compositions(length, w.mu - 1)
-        if rule((0,) + tail)
+        for tail in reversed(list(compositions(length, w.mu - 2)))
+        if rule((0, 0) + tail)
     ]
 
 
@@ -291,12 +294,38 @@ def test_admissible_keys_match_reference_walk(wt):
 
 @pytest.mark.parametrize(
     "wt, max_length, count",
-    [((1, 2, 2, 3, 3, 3), 8, 14_526), ((2, 3, 4, 5, 7), 6, 10_878), ((2, 3, 5), 9, 4_740)],
+    [((1, 2, 2, 3, 3, 3), 8, 8_980), ((2, 3, 4, 5, 7), 6, 8_359), ((2, 3, 5), 9, 2_361)],
     ids=["w1_2_2_3_3_3-L8", "w2_3_4_5_7-L6", "w2_3_5-L9"],
 )
 def test_admissible_key_counts(wt, max_length, count):
-    # The full walks visit 202,930, 228,459 and 48,400 keys.
+    # The full walks visit 125,515, 175,560 and 24,145 keys.
     assert sum(1 for _ in _admissible_keys(Weights(wt), max_length)) == count
+
+
+def test_walk_solves_each_partner_first():
+    # The solver takes one WDVV equation (1, m - 1, k, l) per walked key.
+    # Its other top-length unknown, the partner alpha + e_{m-1} + e_k +
+    # e_{(l+1) mod mu}, is either not walked (written forward, or zero) or
+    # walked earlier, so it is solved by the time the key is.
+    walked = 0
+    for wt in SMALL_SUITE + [(2,), (1, 1, 6), (1, 1, 1, 1, 1, 5)]:
+        w = Weights(wt)
+        order = {key: place for place, key in enumerate(_admissible_keys(w, 7))}
+        for key, place in order.items():
+            m = min(i for i, x in enumerate(key) if x)
+            rest = list(key)
+            rest[m] -= 1
+            k = max(i for i, x in enumerate(rest) if x)
+            rest[k] -= 1
+            l = max(i for i, x in enumerate(rest) if x)
+            rest[l] -= 1
+            partner = _bump(tuple(rest), m - 1, k, (l + 1) % w.mu)
+            assert order.get(partner, -1) < place, (wt, key, partner)
+            walked += partner in order
+    assert walked == 883
+    # Rank 2 has no slot 2: nothing is walked.
+    for wt in [(1, 1), (2,)]:
+        assert not list(_admissible_keys(Weights(wt), 10)), wt
 
 
 def test_admissible_keys_random_weight_vectors():
@@ -435,6 +464,22 @@ def test_potential_is_read_only():
     wrong[key] += 1
     assert _nonzero_residuals(dataclasses.replace(p, coeffs=wrong), 2)
     assert not _nonzero_residuals(p, 2)
+
+
+@pytest.mark.parametrize(
+    "max_length, key",
+    [(4, (0, 9)), (4, (1, 1)), (4, (0, 0)), (True, (0, 3)), (2, (0, 3)),
+     (4.0, (0, 3)), ("4", (0, 3)), (None, (0, 3))],
+    ids=["too-long", "too-short", "empty", "bool-depth", "depth-2",
+         "float-depth", "str-depth", "no-depth"],
+)
+def test_potential_refuses_what_coeff_refuses(max_length, key):
+    # A potential holds no key its own ``coeff`` refuses, and its depth
+    # follows the rule ``reconstruct`` checks.
+    w = Weights(1, 1)
+    with pytest.raises(ValueError):
+        Potential(w, max_length, {(0, 3): F(1), key: F(1)})
+    assert Potential(w, 4, {(0, 3): F(1), (0, 4): F(5)}).coeff((0, 4)) == 5
 
 
 @pytest.mark.parametrize(

@@ -24,30 +24,22 @@ the Chen-Ruan formula: with ``s_i = p0_i + p1_i``, the obstruction set is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import (
-    Sector,
-    SectorData,
-    Weights,
-    sector_table,
-)
+from .combinatorics import SectorData, Weights, sector_table
 from .errors import InternalConsistencyError
 
 
-@dataclass(frozen=True, order=True)
-class BasisClass:
+class BasisClass(namedtuple("BasisClass", "gamma d")):
     """The class ``eta_g^d``: d-th hyperplane power on the sector of ``g``."""
 
-    gamma: Sector
-    d: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(namedtuple("CohClass", "bc scalar qexp")):
     """The monomial ``scalar * Q^qexp * eta_g^d`` with exact rational
     ``scalar`` and ``qexp``.
 
@@ -57,9 +49,7 @@ class CohClass:
     sends a monomial to a monomial, so no sums are needed.
     """
 
-    bc: BasisClass
-    scalar: Fraction
-    qexp: Fraction
+    __slots__ = ()
 
     @classmethod
     def line(cls, bc: BasisClass, scalar=1, qexp=0) -> "CohClass":

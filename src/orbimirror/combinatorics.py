@@ -26,7 +26,7 @@ results for a given weight vector are cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -174,8 +174,9 @@ def k_min(w: Weights, g: Sector) -> int:
     return _record(w, g).k_min
 
 
-@dataclass(frozen=True)
-class SectorData:
+class SectorData(
+    namedtuple("SectorData", "gamma inverse parts fixed age dim inv_weight_product k_min")
+):
     """Per-sector data shared by the A side, the B side and the mirror map.
 
     ``parts[i]`` is the integer ``D * frac(gamma * w_i)`` with ``D = lcm(w)``;
@@ -183,14 +184,7 @@ class SectorData:
     is ``n + 1 - |fixed| + sum_i (D gamma w_i) // D``.
     """
 
-    gamma: Sector
-    inverse: Sector
-    parts: tuple[int, ...]
-    fixed: frozenset[int]
-    age: Fraction
-    dim: int
-    inv_weight_product: Fraction
-    k_min: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

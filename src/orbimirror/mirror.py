@@ -18,7 +18,7 @@ the mapped indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import aquantum, bside
@@ -34,12 +34,10 @@ from .combinatorics import Weights, sector_table, spectrum
 from .errors import InternalConsistencyError
 
 
-@dataclass(frozen=True)
-class MirrorIndexMap:
+class MirrorIndexMap(namedtuple("MirrorIndexMap", "forward inverse")):
     """Bijection basis class <-> B-side index ``k_min(g^{-1}) + d``."""
 
-    forward: dict[BasisClass, int]
-    inverse: dict[int, BasisClass]
+    __slots__ = ()
 
 
 def _text(value):
@@ -50,14 +48,14 @@ def _text(value):
     return str(value)
 
 
-@dataclass
 class CheckReport:
     """Outcome of an exact checker: PASS, or every counterexample found."""
 
-    name: str
-    weights: tuple[int, ...]
-    checks: int = 0
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, name: str, weights: tuple[int, ...]):
+        self.name = name
+        self.weights = weights
+        self.checks = 0
+        self.failures: list[dict] = []
 
     @property
     def passed(self) -> bool:
@@ -117,12 +115,10 @@ def basis_label(bc: BasisClass) -> tuple[str, int]:
 def _basis_pairs(w: Weights, xi: MirrorIndexMap):
     """Every ordered pair ``a, b`` of basis classes, in basis order, with the
     failure-record fields ``pair`` and ``indices`` (the B indices)."""
-    basis = ordered_basis(w)
-    labels = [basis_label(bc) for bc in basis]
-    for a, la in zip(basis, labels):
-        ia = xi.forward[a]
-        for b, lb in zip(basis, labels):
-            yield a, b, {"pair": (la, lb), "indices": (ia, xi.forward[b])}
+    rows = [(bc, basis_label(bc), xi.forward[bc]) for bc in ordered_basis(w)]
+    for a, la, ia in rows:
+        for b, lb, ib in rows:
+            yield a, b, {"pair": (la, lb), "indices": (ia, ib)}
 
 
 def _at_b_indices(w: Weights, xi: MirrorIndexMap, *tables) -> list:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -301,17 +302,29 @@ COMMAND_MODULES = {
 }
 
 
-def loaded_submodules(code: str) -> list[str]:
-    """The ``orbimirror`` submodules a fresh interpreter holds after ``code``."""
-    probe = code + (
-        "\nimport json, sys\nprint(json.dumps(sorted("
-        "m.split('.', 1)[1] for m in sys.modules if m.startswith('orbimirror.'))))"
-    )
+@functools.lru_cache(maxsize=None)
+def loaded_modules(code: str) -> frozenset[str]:
+    """The modules a fresh interpreter holds after ``code``; each probe runs once."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=child_env({"PYTHONDONTWRITEBYTECODE": "1"}),
     )
-    return json.loads(res.stdout.splitlines()[-1])
+    return frozenset(json.loads(res.stdout.splitlines()[-1]))
+
+
+def loaded_submodules(code: str) -> list[str]:
+    """The ``orbimirror`` submodules a fresh interpreter holds after ``code``."""
+    return sorted(m.split(".", 1)[1] for m in loaded_modules(code) if m.startswith("orbimirror."))
+
+
+def command_probe(command: str) -> str:
+    """Code that runs one CLI command on ``1,2`` in process, output discarded."""
+    return (
+        "import contextlib, io\nfrom orbimirror import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main([{command!r}, '--weights', '1,2']) == 0"
+    )
 
 
 def test_package_import_loads_no_submodule():
@@ -324,12 +337,17 @@ def test_cli_import_loads_only_its_own_needs():
 
 @pytest.mark.parametrize("command", COMMAND_MODULES)
 def test_command_loads_only_its_modules(command):
-    code = (
-        "import contextlib, io\nfrom orbimirror import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main([{command!r}, '--weights', '1,2']) == 0"
-    )
-    assert loaded_submodules(code) == sorted({*BASE_MODULES, *COMMAND_MODULES[command]})
+    expected = sorted({*BASE_MODULES, *COMMAND_MODULES[command]})
+    assert loaded_submodules(command_probe(command)) == expected
+
+
+# ``dataclasses`` imports ``inspect`` (and with it ``dis``, ``ast`` and
+# ``tokenize``), which was most of a cold start.  Only ``reconstruct`` needs
+# it, for ``wdvv.Potential``; the other records are named tuples.
+@pytest.mark.parametrize("command", [None, *(c for c in COMMAND_MODULES if c != "reconstruct")])
+def test_only_reconstruct_loads_dataclasses(command):
+    code = "import orbimirror.cli" if command is None else command_probe(command)
+    assert {"dataclasses", "inspect"} & loaded_modules(code) == set()
 
 
 def test_exports_resolve_on_first_use():

@@ -8,7 +8,6 @@ writes the records as JSON).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -103,7 +102,7 @@ def test_a_side_action_failure_records(monkeypatch):
     def doubled_square(w, c):
         image = hyperplane_quantum_mult(w, c)
         if c.bc == BasisClass(Fraction(0), 1):
-            return dataclasses.replace(image, scalar=2 * image.scalar)
+            return image._replace(scalar=2 * image.scalar)
         return image
 
     monkeypatch.setattr(aquantum, "hyperplane_quantum_mult", doubled_square)

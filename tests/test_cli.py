@@ -342,7 +342,7 @@ def test_command_loads_only_its_modules(command):
 
 
 # ``dataclasses`` imports ``inspect`` (and with it ``dis``, ``ast`` and
-# ``tokenize``), which was most of a cold start.  Only ``reconstruct`` needs
+# ``tokenize``), which would be most of a cold start.  Only ``reconstruct`` needs
 # it, for ``wdvv.Potential``; the other records are named tuples.
 @pytest.mark.parametrize("command", [None, *(c for c in COMMAND_MODULES if c != "reconstruct")])
 def test_only_reconstruct_loads_dataclasses(command):

@@ -45,7 +45,7 @@ CLONES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda r: pickle.loads(pickle.dumps(r)),
-    "pickle-highest": lambda r: pickle.loads(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)),
+    "pickle-0": lambda r: pickle.loads(pickle.dumps(r, 0)),
 }
 
 

@@ -51,9 +51,8 @@ def _text(value):
 class CheckReport:
     """Outcome of an exact checker: PASS, or every counterexample found."""
 
-    def __init__(self, name: str, weights: tuple[int, ...]):
+    def __init__(self, name: str):
         self.name = name
-        self.weights = weights
         self.checks = 0
         self.failures: list[dict] = []
 
@@ -133,7 +132,7 @@ def _at_b_indices(w: Weights, xi: MirrorIndexMap, *tables) -> list:
 
 def check_classical(w: Weights) -> CheckReport:
     """Exact comparison of the two graded Frobenius algebras."""
-    report = CheckReport("classical", w.w)
+    report = CheckReport("classical")
     xi = mirror_index_map(w)
     sigma = spectrum(w)
 
@@ -177,7 +176,7 @@ def check_quantum(w: Weights) -> CheckReport:
             "quantum comparison needs a positive-dimensional space "
             "(at least two weights)"
         )
-    report = CheckReport("quantum", w.w)
+    report = CheckReport("quantum")
     xi = mirror_index_map(w)
     sigma = spectrum(w)
 

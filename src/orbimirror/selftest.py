@@ -272,7 +272,7 @@ def _check_quantum_relations(w: Weights, report: CheckReport) -> None:
 
 def run_selftest(w: Weights) -> CheckReport:
     """Run the full invariant suite for one weight vector."""
-    report = CheckReport("selftest", w.w)
+    report = CheckReport("selftest")
     _check_basis_count(w, report)
     _check_grading_adjoint(w, report)
     _check_cup_ring(w, report)

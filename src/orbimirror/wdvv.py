@@ -96,15 +96,21 @@ times a cubic datum, a ratio of weight powers, so the recursion alone shows
 only that every ``A(x)`` lies in ``Z[1/P]``: each equation may add the
 ``P``-adic valuation of its pivot to the exponent.  No fixed ``c`` is
 proved; ``c = 1`` is false: the cubic datum ``A(3 e_5)`` of
-``(1,1,1,1,1,5)`` is ``5^-6``, against ``P^5 = 5^5``.  So ``c`` is found by
-a rule.  ``reconstruct`` starts at ``c = 1``; a remainder whose reduced
-denominator divides a power of ``P`` means ``c`` is too small, and the
-solve starts over at ``c + 1``.  A remainder with any other prime raises
-``InternalConsistencyError`` (exit 3).  Every weight vector with mu <= 10
+``(1,1,1,1,1,5)`` is ``5^-6``, against ``P^5 = 5^5``.  So ``c`` starts at 1
+and rises in place.  A cubic datum or an equation whose remainder has a
+reduced denominator sharing a prime with ``P`` multiplies every ``N(x)`` in
+the memo by ``P^(|x| + 2)``, which makes it ``N(x)`` at ``c + 1``, and its
+own numerator by the ``P^(|y| + 2)`` of the value ``N(y)`` it makes, and
+divides again.  The divisor is kept: at ``c + 1`` the known products gain
+``P^(|alpha| + 10)`` and the pivot ``P^5``, whose ratio is the unknown's
+``P^(|alpha| + 5)``.  Nothing is solved twice.  Any other remainder raises
+``InternalConsistencyError`` (exit 3), as does any remainder in a scaling
+step.  Measured, not proved: every weight vector with mu <= 10
 reconstructs at length 6 with ``c <= 2``; ``(1,1,6)`` and
 ``(1,1,1,1,1,5)`` are among the 35 that need ``c = 2``, and ``(2,3,4,5,7)``
 at length 5 needs all of ``P^(|x| + 2)``.  ``c <= 2`` does not hold at
-every depth: ``(1,1,1,1,1,5)`` needs ``c = 3`` at length 10.
+every depth: ``(1,1,1,1,1,5)`` needs ``c = 3`` at length 10, and
+``(1,1,1,1,1,1,7)``, with mu = 13, at length 6.
 
 Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 ``S(i, j, k, l) - S(j, k, i, l)``, where
@@ -132,7 +138,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
@@ -198,32 +203,47 @@ def scaling_weight(w: Weights, alpha: MultiIndex) -> Fraction:
     return Fraction(_scaled_weight(table, _multi_index(alpha, w.mu)), table[0])
 
 
-@dataclass(frozen=True)
 class Potential:
     """A truncated potential: every coefficient with ``3 <= |alpha| <=
     max_length`` is determined; absent keys in that range are exact zeros.
 
-    ``coeffs`` is a read-only copy of the mapping it is built from, so the
-    residual tables cached on the potential cannot go stale; a changed
-    potential is a new one (``dataclasses.replace``) with tables of its own.
-    Raises ``ValueError`` unless ``max_length`` is a plain ``int`` of at
-    least 3 and every key is in N^mu with ``3 <= |alpha| <= max_length``:
-    a potential holds no key its own ``coeff`` refuses.
+    ``coeffs`` is a read-only copy of the mapping it is built from, and no
+    attribute can be set or deleted, so the residual tables cached on the
+    potential cannot go stale; a changed potential is a new one, with tables
+    of its own.  Two potentials are equal when their weights, depths and
+    coefficients are.  Raises ``ValueError`` unless ``max_length`` is a plain
+    ``int`` of at least 3 and every key is in N^mu with ``3 <= |alpha| <=
+    max_length``: a potential holds no key its own ``coeff`` refuses.
     """
 
-    weights: Weights
-    max_length: int
-    coeffs: Mapping[MultiIndex, Fraction]
-
-    def __post_init__(self):
-        max_length = _check_depth(self.max_length)
-        coeffs = dict(self.coeffs)
+    def __init__(
+        self, weights: Weights, max_length: int, coeffs: Mapping[MultiIndex, Fraction]
+    ):
+        _check_depth(max_length)
+        coeffs = dict(coeffs)
         for key in coeffs:
-            if not 3 <= sum(_multi_index(key, self.weights.mu)) <= max_length:
+            if not 3 <= sum(_multi_index(key, weights.mu)) <= max_length:
                 raise ValueError(
                     f"multi-index {key} has a length outside 3..{max_length}"
                 )
-        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        # ``__setattr__`` refuses every write; the fields, like the cached
+        # residual tables, go into ``__dict__`` directly.
+        self.__dict__.update(
+            weights=weights, max_length=max_length, coeffs=MappingProxyType(coeffs)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Potential is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Potential is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weights, self.max_length, self.coeffs) == (
+            other.weights, other.max_length, other.coeffs
+        )
 
     def coeff(self, alpha: MultiIndex) -> Fraction:
         alpha = _multi_index(alpha, self.weights.mu)
@@ -275,21 +295,11 @@ def _metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-class _Rescale(Exception):
-    """A division needs more powers of ``P`` than the solver's scale holds."""
-
-
-def _exact(num: int, den: int, *where, scale: int = 1) -> int:
-    """``num / den``.  A remainder raises ``_Rescale`` if the reduced
-    denominator divides a power of ``scale``, and otherwise
-    ``InternalConsistencyError`` naming ``where``."""
+def _exact(num: int, den: int, *where) -> int:
+    """``num / den``, or ``InternalConsistencyError`` naming ``where`` if it
+    leaves a remainder."""
     quotient, remainder = divmod(num, den)
     if remainder:
-        stray = den // math.gcd(num, den)
-        while (common := math.gcd(stray, scale)) > 1:
-            stray //= common
-        if stray == 1:
-            raise _Rescale
         raise InternalConsistencyError(
             f"{' '.join(map(str, where))}: {num} / {den} is not an integer"
         )
@@ -317,14 +327,17 @@ class _Reconstructor:
     the integer layer.
 
     ``memo[x]`` is the numerator ``N(x) = A(x) scale^(|x| + 2)``, where
-    ``scale = P^power`` and ``P = prod(w)``.  Every value enters through
-    ``_store``: the nonzero cubic data when the solver is built, and each
-    walked key as ``_solve`` solves it from one equation.  Fed the keys of
-    ``_admissible_keys`` in their order, the solver finds every key the memo
-    lacks an exact zero by the time an equation reads it.
+    ``scale = P^c`` and ``P = prod(w)``.  ``c`` starts at 1, and
+    ``_rescale`` raises it by one in place when ``_divide`` meets a
+    remainder whose reduced denominator shares a prime with ``P``.  Every
+    value enters through ``_store``: the nonzero cubic data when the solver
+    is built, and each walked key as ``_solve`` solves it from one
+    equation; ``_divide`` makes both.  Fed the keys of ``_admissible_keys``
+    in their order, the solver finds every key the memo lacks an exact zero
+    by the time an equation reads it.
     """
 
-    def __init__(self, w: Weights, max_length: int, power: int = 1):
+    def __init__(self, w: Weights, max_length: int):
         if w.mu < 2:
             raise ValueError("reconstruction needs mu >= 2")
         self.w = w
@@ -332,18 +345,43 @@ class _Reconstructor:
         self.max_length = max_length
         self.dual, self.ginv = _metric_diagonal(w)
         self.degrees = _degree_table(w)
-        self.scale = math.prod(w) ** power
+        self.weight_product = self.scale = math.prod(w)
         self.memo: dict[MultiIndex, int] = {}
         self._alpha: MultiIndex | None = None
         self._terms: list = []
         zero = (0,) * w.mu
-        cube = self.scale**5
         for triple, value in initial_coeffs(w).items():
-            datum = _exact(
-                value.numerator * cube, value.denominator, "cubic datum", triple,
-                scale=self.scale,
+            datum = self._divide(
+                value.numerator * self.scale**5, value.denominator, 3,
+                "cubic datum", triple,
             )
             self._store(_bump(zero, *triple), datum)
+
+    def _divide(self, num: int, den: int, length: int, *where) -> int:
+        """``num / den`` for a value of length ``length``.
+
+        While a remainder's reduced denominator shares a prime with ``P``,
+        the memo is rescaled, ``num`` is multiplied by ``P^(length + 2)``
+        (see the integer layer) and the division is tried again.  A
+        remainder coprime to ``P`` is ``InternalConsistencyError`` naming
+        ``where``.
+        """
+        p = self.weight_product
+        quotient, remainder = divmod(num, den)
+        while remainder and math.gcd(den // math.gcd(num, den), p) > 1:
+            self._rescale()
+            num *= p ** (length + 2)
+            quotient, remainder = divmod(num, den)
+        return _exact(num, den, *where) if remainder else quotient
+
+    def _rescale(self) -> None:
+        """``scale *= P`` in place: every ``N(x)`` gains ``P^(|x| + 2)``."""
+        p = self.weight_product
+        factor = [p ** (length + 2) for length in range(self.max_length + 1)]
+        memo = self.memo
+        for key, value in memo.items():
+            memo[key] = value * factor[sum(key)]
+        self.scale *= p
 
     def _store(self, key: MultiIndex, value: int) -> None:
         """Memoise ``N(key)``, and while the value is nonzero, ``key_0 = 0``
@@ -357,7 +395,7 @@ class _Reconstructor:
             key = (0, key[1] + 1) + key[2:]
             value = _exact(
                 value * self.scale * weight, self.degrees[0] * self.mu,
-                "scaling step to", key, scale=self.scale,
+                "scaling step to", key,
             )
             memo[key] = value
             length += 1
@@ -429,9 +467,9 @@ class _Reconstructor:
             raise InternalConsistencyError(
                 f"zero pivot in WDVV equation (1,{j},{k},{l}) at alpha={alpha}"
             )
-        return _exact(
-            total, pivot, "WDVV equation", (1, j, k, l), "at alpha", alpha,
-            scale=self.scale,
+        return self._divide(
+            total, pivot, sum(alpha) + 3,
+            "WDVV equation", (1, j, k, l), "at alpha", alpha,
         )
 
 
@@ -499,18 +537,11 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     _check_depth(max_length)
     # Multi-indices with a slot 0 or 1, and those the rule forces to zero,
     # are never walked; a key with a slot-1 entry was stored by scaling when
-    # its source was, or is zero.  A division that needs more powers of
-    # ``P`` starts the solve over with one more (see the integer layer).
-    power = 1
-    while True:
-        keys = _admissible_keys(w, max_length)
-        try:
-            rec = _Reconstructor(w, max_length, power)
-            for key in keys:
-                rec._solve(key)
-            break
-        except _Rescale:
-            power += 1
+    # its source was, or is zero.
+    keys = _admissible_keys(w, max_length)
+    rec = _Reconstructor(w, max_length)
+    for key in keys:
+        rec._solve(key)
     # Drop the memoised zeros and turn the numerators into their one
     # ``Fraction`` view in place: ``Potential`` makes the one copy.
     memo = rec.memo

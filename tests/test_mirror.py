@@ -91,6 +91,5 @@ def test_report_structure():
     report = check_classical(Weights(1, 2))
     assert report.status == "PASS"
     assert report.name == "classical"
-    assert report.weights == (1, 2)
     assert report.failures == []
     assert report.checks > 0

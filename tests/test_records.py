@@ -107,9 +107,9 @@ def test_ordered_basis_is_sorted_by_gamma_then_d(w):
 
 
 def test_check_reports_start_empty_and_share_nothing():
-    a = CheckReport("classical", W.w)
-    b = CheckReport("quantum", W.w)
-    assert (a.name, a.weights, a.checks, a.failures) == ("classical", W.w, 0, [])
+    a = CheckReport("classical")
+    b = CheckReport("quantum")
+    assert (a.name, a.checks, a.failures) == ("classical", 0, [])
     assert (b.checks, b.failures, b.status) == (0, [], "PASS")
     assert a.failures is not b.failures
     a.expect(False, check="demo")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
@@ -434,7 +433,7 @@ def test_residual_faults_match_reference(wt, fault):
             coeffs[key] += 1
         else:
             del coeffs[key]
-        broken = dataclasses.replace(p, coeffs=coeffs)
+        broken = Potential(p.weights, p.max_length, coeffs)
         got = _nonzero_residuals(broken, 2)
         assert got, (wt, key)
         assert got == _nonzero_residuals(broken, 2, wdvv_residual_reference), (wt, key)
@@ -446,8 +445,10 @@ def test_potential_is_read_only():
     key = next(iter(p.coeffs))
     with pytest.raises(TypeError):
         p.coeffs[key] = F(7)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.coeffs = {}
+    with pytest.raises(AttributeError):
+        del p.weights
     # A hand-built potential keeps its own copy of the dict.
     source = dict(p.coeffs)
     hand = Potential(w, 5, source)
@@ -462,7 +463,7 @@ def test_potential_is_read_only():
     assert not _nonzero_residuals(p, 2)
     wrong = dict(p.coeffs)
     wrong[key] += 1
-    assert _nonzero_residuals(dataclasses.replace(p, coeffs=wrong), 2)
+    assert _nonzero_residuals(Potential(p.weights, p.max_length, wrong), 2)
     assert not _nonzero_residuals(p, 2)
 
 
@@ -582,8 +583,8 @@ def test_solver_reads_no_absent_nonzero_key(monkeypatch):
             return super().get(key, default)
 
     class Spy(_Reconstructor):
-        def __init__(self, w, max_length, power=1):
-            super().__init__(w, max_length, power)
+        def __init__(self, w, max_length):
+            super().__init__(w, max_length)
             self.memo = MissLog(self.memo)
 
     monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
@@ -635,6 +636,21 @@ def test_inexact_division_is_an_internal_error(monkeypatch, capsys, factor, wher
     assert out == "" and where in err
 
 
+def test_inexact_scaling_step_is_an_internal_error(monkeypatch, capsys):
+    # A scaling step is exact (see the integer layer), so a remainder there
+    # is an internal error even when more powers of P would clear it.  With
+    # D times 4 in the degree table, a step divides by 4 too many, and 4
+    # divides P^2 = 30^2.
+    w = Weights(2, 3, 5)
+    den, base, steps = _degree_table(w)
+    monkeypatch.setattr(wdvv, "_degree_table", lambda _: (4 * den, base, steps))
+    with pytest.raises(InternalConsistencyError, match="scaling step"):
+        reconstruct(w, 6)
+    assert cli.main(["reconstruct", "--weights", "2,3,5", "--max-length", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "scaling step" in err
+
+
 def test_reconstruct_input_validation():
     with pytest.raises(ValueError):
         reconstruct(Weights(1), 5)
@@ -676,27 +692,52 @@ def test_coeff_rejects_malformed_multi_index(alpha):
         p.coeff(alpha)
 
 
-def test_second_restart_reaches_power_3(monkeypatch):
-    # (1,1,1,1,1,5) at L = 10 is the one vector found that needs c = 3; the
-    # census at L <= 8, mu <= 7 at L = 9 and (1,1,1,1,4), (1,1,1,7), (1,1,6)
-    # at L = 10 all fit c <= 2.  Its coefficients up to length 9 are the
-    # ones reconstruct gives at L = 9, where c = 2 is enough.
-    powers = []
+def _spy_on_rescales(monkeypatch):
+    """Every solver ``reconstruct`` builds, and the scale of each one before
+    each of its rescales."""
+    built, scales = [], []
 
     class Spy(_Reconstructor):
-        def __init__(self, w, max_length, power=1):
-            powers.append(power)
-            super().__init__(w, max_length, power)
+        def __init__(self, w, max_length):
+            built.append(self)
+            super().__init__(w, max_length)
+
+        def _rescale(self):
+            scales.append(self.scale)
+            super()._rescale()
 
     monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
+    return built, scales
+
+
+def test_second_restart_reaches_power_3(monkeypatch):
+    # (1,1,1,1,1,5) at L = 10 needs c = 3; the census at L <= 8, mu <= 7 at
+    # L = 9 and (1,1,1,1,4), (1,1,1,7), (1,1,6) at L = 10 all fit c <= 2.
+    # One solver rescales its memo in place, P to P^2 to P^3.  Its
+    # coefficients up to length 9 are the ones reconstruct gives at L = 9,
+    # where c = 2 is enough.
+    built, scales = _spy_on_rescales(monkeypatch)
     w = Weights(1, 1, 1, 1, 1, 5)
     p = reconstruct(w, 10)
-    assert powers == [1, 2, 3]
+    assert len(built) == 1
+    assert scales + [built[0].scale] == [5, 5**2, 5**3]
     assert len(p.coeffs) == 9212
-    powers.clear()
+    built.clear()
+    scales.clear()
     shallow = reconstruct(w, 9)
-    assert powers == [1, 2]
+    assert len(built) == 1
+    assert scales + [built[0].scale] == [5, 5**2]
     assert {a: v for a, v in p.coeffs.items() if sum(a) <= 9} == dict(shallow.coeffs)
+
+
+def test_power_3_at_length_6(monkeypatch):
+    # (1,1,1,1,1,1,7), mu = 13, needs c = 3 already at L = 6.
+    built, scales = _spy_on_rescales(monkeypatch)
+    w = Weights(1, 1, 1, 1, 1, 1, 7)
+    p = reconstruct(w, 6)
+    assert len(built) == 1
+    assert scales + [built[0].scale] == [7, 7**2, 7**3]
+    assert p.nonzero_items() == reconstruct_reference(w, 6).nonzero_items()
 
 
 @pytest.mark.slow

@@ -19,7 +19,7 @@ _HOME = {
         "errors": "InternalConsistencyError",
         "mirror": "CheckReport MirrorIndexMap check_classical check_quantum mirror_index_map",
         "selftest": "run_selftest",
-        "wdvv": "Potential initial_coeffs reconstruct wdvv_residual",
+        "wdvv": "Potential initial_coeffs reconstruct residual_table wdvv_residual",
     }.items()
     for name in names.split()
 }

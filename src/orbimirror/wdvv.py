@@ -55,10 +55,10 @@ tested in that walk alone; of each interior sum over ``a`` in an equation
 the solver keeps the one term the charge grading allows.
 
 Store and read.  The solver's memo is the potential.  Every value enters it
-through one store, which, while the value is nonzero, ``alpha_0 = 0`` and
+through one store, which keeps no zero and, while ``alpha_0 = 0`` and
 ``|alpha| < max_length``, also writes ``alpha + e_1`` by the scaling
-identity.  The memo starts as the nonzero cubic data, stored so; then
-each walked key is solved by its one equation and stored.  A key with a
+identity.  The memo starts as the cubic data, stored so; then each walked
+key is solved by its one equation and stored.  A key with a
 slot 0 or 1 is never walked: it was written forward, or is zero.  An
 equation reads a key the memo lacks as zero.  The read is sound by the
 order of the walk: by length, and within a length in descending
@@ -74,9 +74,9 @@ has ``alpha_1 > 0`` (written forward from length ``N - 1``), or has a slot
 0 (zero).  A forward write keeps the charge rule, and the degree
 rule too: for ``n >= 1``, ``sigma(1) = 1`` and ``d(alpha + e_1) =
 d(alpha)``, and for ``n = 0`` every cubic datum has ``d = 0``, so nothing is
-written forward.  ``reconstruct`` returns the memo's nonzero entries.
-``wdvv_residual`` does not use the rule, so a residual sweep stays an
-independent check of the solver, and of the rule itself.
+written forward.  ``reconstruct`` returns the memo as it is.  The residuals
+do not use the rule, so a residual sweep stays an independent check of the
+solver, and of the rule itself.
 
 Integer layer.  The solver runs on ``int`` numerators.  With
 ``P = prod(w)`` and a power ``c >= 1`` its memo holds
@@ -120,15 +120,20 @@ Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 
 and ``F_xyz(beta) = A(beta + e_x + e_y + e_z)`` is the coefficient of
 ``t^beta / beta!`` in the third derivative.  On the first residual asked of
-it, a ``Potential`` files each stored nonzero coefficient under every third
-derivative it belongs to, keyed by base multi-index.  ``S`` at one ``alpha``
-is the contraction of that index with itself, a sparse table; each entry
-``S(x, y, c, d)`` is added to residual ``(x, y, c, d)`` and subtracted from
-residual ``(c, x, y, d)``, and the nonzero residuals are kept until a
-residual at another ``alpha`` is asked for.  The index is read off the zeros
-in the data, not off the selection rule: a stored coefficient the rule
-forbids still enters every residual it touches, so a sweep checks the rule
-as well as the solver.
+it, a ``Potential`` files each stored nonzero coefficient ``A`` as the
+integer ``A T`` under every third derivative it belongs to, keyed by base
+multi-index.  ``T`` is the lcm of the stored denominators themselves, not a
+power of ``P``, so a hand-built potential with a stray prime in a
+denominator still gives exact residuals.  ``S`` at one ``alpha`` is the
+contraction of that index with itself, a sparse table of integers over
+``T^2``; each entry ``S(x, y, c, d)`` is added to residual ``(x, y, c, d)``
+and subtracted from residual ``(c, x, y, d)``, and only a nonzero residual
+becomes a ``Fraction``.  ``residual_table(p, alpha)`` returns them as one
+read-only mapping, kept until a residual at another ``alpha`` is asked for;
+``wdvv_residual`` looks one equation up in it.  The index is read off the
+zeros in the data, not off the selection rule: a stored coefficient the
+rule forbids still enters every residual it touches, so a sweep checks the
+rule as well as the solver.
 
 All arithmetic is exact; no floating point appears anywhere.
 """
@@ -384,20 +389,21 @@ class _Reconstructor:
         self.scale *= p
 
     def _store(self, key: MultiIndex, value: int) -> None:
-        """Memoise ``N(key)``, and while the value is nonzero, ``key_0 = 0``
-        and ``|key| < max_length``, its scaling image ``N(key + e_1) =
-        N(key) scale D d(key) / (D mu)`` too."""
+        """Memoise ``N(key)`` unless it is zero, and while ``key_0 = 0`` and
+        ``|key| < max_length``, its scaling image ``N(key + e_1) = N(key)
+        scale D d(key) / (D mu)`` too."""
         memo = self.memo
-        memo[key] = value
         length = sum(key)
-        while value and not key[0] and length < self.max_length:
+        while value:
+            memo[key] = value
+            if key[0] or length >= self.max_length:
+                return
             weight = _scaled_weight(self.degrees, key)
             key = (0, key[1] + 1) + key[2:]
             value = _exact(
                 value * self.scale * weight, self.degrees[0] * self.mu,
                 "scaling step to", key,
             )
-            memo[key] = value
             length += 1
 
     # -- one WDVV equation per unknown ------------------------------------
@@ -542,11 +548,9 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     rec = _Reconstructor(w, max_length)
     for key in keys:
         rec._solve(key)
-    # Drop the memoised zeros and turn the numerators into their one
+    # The memo holds no zero.  Turn its numerators into their one
     # ``Fraction`` view in place: ``Potential`` makes the one copy.
     memo = rec.memo
-    for key in [key for key, value in memo.items() if not value]:
-        del memo[key]
     den = [rec.scale ** (length + 2) for length in range(max_length + 1)]
     for key, value in memo.items():
         memo[key] = Fraction(value, den[sum(key)])
@@ -567,43 +571,38 @@ def _third_derivatives(key: MultiIndex):
 
 
 class _ResidualTables:
-    """The stored third derivatives of one potential, and the residuals of
-    the last ``alpha`` asked for (see the module docstring).
+    """The stored third derivatives of one potential, on integer numerators,
+    and the residuals of the last ``alpha`` asked for (see the module
+    docstring).
 
-    ``index[beta][x]`` lists ``(y, z, F_xyz(beta))`` for every stored nonzero
-    coefficient.  One table is kept at a time, so a sweep in alpha-major
-    order builds each table once in flat memory.
+    With ``T`` the lcm of the stored denominators, ``index[beta][x]`` lists
+    ``(y, z, F_xyz(beta) T)`` for every stored nonzero coefficient, and
+    ``den`` is ``T^2``.  One table is kept at a time, so a sweep in
+    alpha-major order builds each table once in flat memory.
     """
 
     def __init__(self, p: Potential):
         self.dual, self.ginv = _metric_diagonal(p.weights)
-        index: dict[MultiIndex, dict[int, list[tuple[int, int, Fraction]]]] = {}
+        scale = math.lcm(*(value.denominator for value in p.coeffs.values()))
+        index: dict[MultiIndex, dict[int, list[tuple[int, int, int]]]] = {}
         for key, value in p.coeffs.items():
             if value:
+                value = value.numerator * (scale // value.denominator)
                 for base, x, y, z in _third_derivatives(key):
                     index.setdefault(base, {}).setdefault(x, []).append((y, z, value))
         self.index = index
+        self.den = scale * scale
         self.alpha: MultiIndex | None = None
-        self.residuals: dict[Equation, Fraction] = {}
+        self.residuals: Mapping[Equation, Fraction] = MappingProxyType({})
 
-    def at(self, alpha: MultiIndex) -> dict[Equation, Fraction]:
-        """``{(i, j, k, l): residual}`` at ``alpha``, nonzero entries only."""
-        if alpha != self.alpha:
-            residuals: dict[Equation, Fraction] = {}
-            # ``S(x, y, c, d)`` enters two residuals: ``(x, y, c, d)`` as the
-            # left sum and ``(c, x, y, d)`` as the right one.
-            for (x, y, c, d), value in self._contract(alpha).items():
-                residuals[x, y, c, d] = residuals.get((x, y, c, d), 0) + value
-                residuals[c, x, y, d] = residuals.get((c, x, y, d), 0) - value
-            self.residuals = {key: value for key, value in residuals.items() if value}
-            self.alpha = alpha
-        return self.residuals
-
-    def _contract(self, alpha: MultiIndex) -> dict[Equation, Fraction]:
-        """``{(x, y, c, d): S(x, y, c, d)}`` at ``alpha``, over the keys some
-        pair of stored terms reaches."""
+    def at(self, alpha: MultiIndex) -> Mapping[Equation, Fraction]:
+        """Read-only ``{(i, j, k, l): residual}`` at ``alpha``, nonzero
+        entries only."""
+        if alpha == self.alpha:
+            return self.residuals
         index, dual, ginv = self.index, self.dual, self.ginv
-        table: dict[Equation, Fraction] = {}
+        # ``S(x, y, c, d) T^2`` over the keys some pair of stored terms reaches.
+        table: dict[Equation, int] = {}
         for beta, left in index.items():
             gamma = tuple(x - y for x, y in zip(alpha, beta))
             right = index.get(gamma) if min(gamma) >= 0 else None
@@ -623,7 +622,44 @@ class _ResidualTables:
                     for c, d, v in seconds:
                         key = (x, y, c, d)
                         table[key] = table.get(key, 0) + wu * v
-        return table
+        # ``S(x, y, c, d)`` enters two residuals: ``(x, y, c, d)`` as the left
+        # sum and ``(c, x, y, d)`` as the right one.
+        residuals: dict[Equation, int] = {}
+        for (x, y, c, d), value in table.items():
+            residuals[x, y, c, d] = residuals.get((x, y, c, d), 0) + value
+            residuals[c, x, y, d] = residuals.get((c, x, y, d), 0) - value
+        den = self.den
+        self.residuals = MappingProxyType(
+            {key: Fraction(value, den) for key, value in residuals.items() if value}
+        )
+        self.alpha = alpha
+        return self.residuals
+
+
+def residual_table(p: Potential, alpha: MultiIndex) -> Mapping[Equation, Fraction]:
+    """Read-only ``{(i, j, k, l): residual}`` of every associativity equation
+    whose coefficient of ``t^alpha / alpha!`` is not zero; empty on a
+    consistent potential.
+
+    Each residual is ``S(i, j, k, l) - S(j, k, i, l)``, contracted from the
+    stored nonzero coefficients alone, without the selection rule, so a
+    sweep can catch a wrong coefficient on either side of it (see the module
+    docstring).  A table returned earlier stays as it was.
+
+    Raises ``ValueError`` if ``alpha`` is not in N^mu or the potential is too
+    shallow to evaluate it.
+    """
+    tables = p._residual_tables
+    # The last alpha's own tuple has passed these checks already; a potential
+    # with no table yet has no last alpha, only ``None`` in its place.
+    if alpha is None or alpha is not tables.alpha:
+        alpha = _multi_index(alpha, p.weights.mu)
+        if sum(alpha) + 3 > p.max_length:
+            raise ValueError(
+                f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
+                f"potential has {p.max_length}"
+            )
+    return tables.at(alpha)
 
 
 def wdvv_residual(
@@ -632,32 +668,17 @@ def wdvv_residual(
     """Coefficient of ``t^alpha / alpha!`` in the associativity equation
     ``(i, j, k, l)``; exactly zero on a consistent potential.
 
-    It reads ``S(i, j, k, l) - S(j, k, i, l)`` off the table of residuals at
-    ``alpha``, built from the contraction ``S`` of the stored nonzero
-    coefficients alone (see the module docstring).  Every ``a`` with a
-    stored term enters, where the solver keeps only the charge-compatible
-    one: this check does not use the selection rule, so a sweep can still
-    catch a wrong coefficient on either side of it.  Asking for the
-    residuals in alpha-major order builds each table once.
+    A lookup in ``residual_table(p, alpha)``; asking for the residuals in
+    alpha-major order builds each table once.
 
     Raises ``ValueError`` if an index is not a plain ``int`` (not a
     ``bool``) in ``[0, mu)``, if ``alpha`` is not in N^mu, or if the
     potential is too shallow to evaluate it.
     """
     mu = p.weights.mu
-    tables = p._residual_tables
-    # The last alpha's own tuple has passed the checks on alpha already.
-    checked = alpha is tables.alpha
-    if not checked:
-        alpha = _multi_index(alpha, mu)
     for x in (i, j, k, l):
         if not (type(x) is int and 0 <= x < mu):
             raise ValueError(
                 f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
             )
-    if not checked and sum(alpha) + 3 > p.max_length:
-        raise ValueError(
-            f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
-            f"potential has {p.max_length}"
-        )
-    return tables.at(alpha).get((i, j, k, l), _ZERO)
+    return residual_table(p, alpha).get((i, j, k, l), _ZERO)

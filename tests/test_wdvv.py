@@ -23,6 +23,7 @@ from orbimirror import (
     mirror_index_map,
     ordered_basis,
     reconstruct,
+    residual_table,
     wdvv,
     wdvv_residual,
 )
@@ -79,15 +80,18 @@ def _weight_vectors(st, max_mu):
     return draw_weights()
 
 
-def _nonzero_residuals(p, max_alpha, residual=wdvv_residual):
+def _nonzero_residuals(p, max_alpha, residual=None):
     """``{(eq, alpha): value}`` for every ``(i, j, k, l, alpha)`` with
     ``|alpha| <= max_alpha`` whose residual is not zero, in alpha-major
-    order."""
+    order: one ``residual_table`` per ``alpha``, or, given ``residual``, one
+    call per equation."""
     mu = p.weights.mu
     out = {}
     for total in range(max_alpha + 1):
-        for alpha in itertools.product(range(total + 1), repeat=mu):
-            if sum(alpha) != total:
+        for alpha in compositions(total, mu):
+            if residual is None:
+                table = residual_table(p, alpha)
+                out.update(((eq, alpha), value) for eq, value in table.items())
                 continue
             for eq in itertools.product(range(mu), repeat=4):
                 value = residual(p, *eq, alpha)
@@ -439,6 +443,73 @@ def test_residual_faults_match_reference(wt, fault):
         assert got == _nonzero_residuals(broken, 2, wdvv_residual_reference), (wt, key)
 
 
+@pytest.mark.parametrize("wt", [(1, 1, 1), (2, 3)], ids=["w1_1_1", "w2_3"])
+def test_residual_matches_its_table(wt):
+    # ``wdvv_residual`` is a lookup in ``residual_table``: on the consistent
+    # potential and on every fault of ``test_residual_faults_match_reference``
+    # the two agree on every equation at |alpha| <= 2.
+    p = reconstruct(Weights(wt), 5)
+    potentials = [p]
+    for key in p.coeffs:
+        raised = dict(p.coeffs)
+        raised[key] += 1
+        deleted = dict(p.coeffs)
+        del deleted[key]
+        potentials += [Potential(p.weights, p.max_length, c) for c in (raised, deleted)]
+    mu = p.weights.mu
+    nonzero = 0
+    for q in potentials:
+        for total in range(3):
+            for alpha in compositions(total, mu):
+                table = residual_table(q, alpha)
+                nonzero += len(table)
+                for eq in itertools.product(range(mu), repeat=4):
+                    got = wdvv_residual(q, *eq, alpha)
+                    assert got == table.get(eq, 0), (wt, eq, alpha)
+    assert nonzero
+
+
+def test_residual_tables_are_read_only():
+    p = reconstruct(Weights(2, 3), 5)
+    wrong = dict(p.coeffs)
+    wrong[(0, 0, 0, 1, 2)] += 1
+    broken = Potential(p.weights, p.max_length, wrong)
+    alphas = sorted({alpha for _, alpha in _nonzero_residuals(broken, 2)})
+    assert len(alphas) >= 2
+    first = residual_table(broken, alphas[0])
+    snapshot = dict(first)
+    assert snapshot
+    with pytest.raises(TypeError):
+        first[next(iter(first))] = F(0)
+    with pytest.raises(TypeError):
+        del first[next(iter(first))]
+    # A residual at another alpha builds a new table and leaves this one be.
+    eq = next(iter(residual_table(broken, alphas[-1])))
+    assert wdvv_residual(broken, *eq, alphas[-1])
+    assert dict(first) == snapshot
+
+
+def test_residual_table_checks_alpha_before_any_table():
+    # A fresh potential has no last table, so no alpha skips the checks.
+    p = reconstruct(Weights(1, 1, 1), 5)
+    with pytest.raises((TypeError, ValueError)):
+        residual_table(p, None)
+    with pytest.raises(ValueError):
+        residual_table(p, (0, 0, 3))
+
+
+def test_projective_space_counts():
+    # Classical enumerative numbers of P^3 and P^4 (Schubert; tabled in
+    # Kontsevich-Manin, hep-th/9402147), read off the potential as they are.
+    p = reconstruct(Weights(1, 1, 1, 1), 12)
+    assert p.coeff((0, 0, 4, 0)) == 2  # lines meeting 4 general lines
+    assert p.coeff((0, 0, 8, 0)) == 92  # conics meeting 8 general lines
+    assert p.coeff((0, 0, 12, 0)) == 80160  # twisted cubics meeting 12 lines
+    assert p.coeff((0, 0, 0, 6)) == 1  # twisted cubics through 6 points
+    # Lines in P^4 meeting 6 general planes.
+    assert reconstruct(Weights(1, 1, 1, 1, 1), 8).coeff((0, 0, 6, 0, 0)) == 5
+
+
 def test_potential_is_read_only():
     w = Weights(2, 3)
     p = reconstruct(w, 5)
@@ -597,12 +668,36 @@ def test_solver_reads_no_absent_nonzero_key(monkeypatch):
     assert read
 
 
-@pytest.mark.slow
+def test_solver_memo_holds_no_zero(monkeypatch):
+    # ``_store`` keeps no zero, so ``reconstruct`` hands its memo on as it is.
+    class NoZero(dict):
+        def __setitem__(self, key, value):
+            assert value, key
+            super().__setitem__(key, value)
+
+    class Spy(_Reconstructor):
+        def __init__(self, w, max_length):
+            super().__init__(w, max_length)
+            assert all(self.memo.values())
+            self.memo = NoZero(self.memo)
+
+    monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
+    for wt, max_length in [((2, 3, 5), 8), ((4, 6), 9), ((1, 1, 6), 6)]:
+        assert reconstruct(Weights(wt), max_length).coeffs, wt
+
+
 def test_census_residuals_vanish():
     # Every (i, j, k, l) at |alpha| <= 1 on every census vector, reconstructed
     # at L = 6: 7,574,782 residuals, none of them nonzero.
     for wt in CENSUS:
         assert not _nonzero_residuals(reconstruct(Weights(wt), 6), 1), wt
+
+
+@pytest.mark.slow
+def test_census_residuals_vanish_to_alpha_2():
+    # The same at |alpha| <= 2: 43,064,325 residuals, none of them nonzero.
+    for wt in CENSUS:
+        assert not _nonzero_residuals(reconstruct(Weights(wt), 6), 2), wt
 
 
 def test_denominator_bound_is_tight():

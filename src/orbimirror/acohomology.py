@@ -19,17 +19,22 @@ the coordinates that carry, ``eta_{g0}^{d0} * eta_{g1}^{d1}`` is
 the Chen-Ruan formula: with ``s_i = p0_i + p1_i``, the obstruction set is
 ``{s_i > D}``, the excess fixed locus ``I(g0 g1) - I(g0) & I(g1)`` is
 ``{s_i = D}``, and ``age(g0) + age(g1) - age(g0 g1) = #{s_i >= D}``.
+
+The rule is stated once, in the integer kernel :func:`_carry`, which finds
+the sector ``g0 g1`` by the integer ``D * gamma``.  :func:`cup_basis`
+applies it to one pair of classes; :func:`cup_table` applies it once per
+pair of sectors and holds the whole product by basis position, the form
+the CLI and the mirror checker read.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import SectorData, Weights, sector_table
+from .combinatorics import ZERO, SectorData, Weights, sector_table
 from .errors import InternalConsistencyError
 
 
@@ -95,7 +100,7 @@ def pairing(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
     sector = basis_sector(w, a)
     basis_sector(w, b)
     if b.gamma != sector.inverse or a.d + b.d != sector.dim:
-        return Fraction(0)
+        return ZERO
     return sector.inv_weight_product
 
 
@@ -117,6 +122,35 @@ def basis_sector(w: Weights, c: BasisClass) -> SectorData:
     return s
 
 
+@lru_cache(maxsize=None)
+def _sector_at(w: Weights) -> dict[int, SectorData]:
+    """Each sector record keyed by the integer ``D * gamma``."""
+    lcm = w.lcm
+    return {
+        s.gamma.numerator * (lcm // s.gamma.denominator): s
+        for s in sector_table(w).values()
+    }
+
+
+def _carry(w: Weights, s0: SectorData, s1: SectorData):
+    """The carry rule on two sector records: ``(prod(w_i for i in K), record
+    of g0 g1, |K|)`` with ``K = {i : p0_i + p1_i >= D}``, or ``None`` when
+    ``g0 g1`` is not a sector."""
+    lcm = w.lcm
+    g0, g1 = s0.gamma, s1.gamma
+    step = g0.numerator * (lcm // g0.denominator) + g1.numerator * (lcm // g1.denominator)
+    # g0 g1 is a sector exactly when some coordinate is fixed by it.
+    s = _sector_at(w).get(step % lcm)
+    if s is None:
+        return None
+    coeff, size = 1, 0
+    for wi, p0, p1 in zip(w.w, s0.parts, s1.parts):
+        if p0 + p1 >= lcm:
+            coeff *= wi
+            size += 1
+    return coeff, s, size
+
+
 def cup_basis(
     w: Weights, a: BasisClass, b: BasisClass
 ) -> tuple[int, BasisClass | None]:
@@ -131,17 +165,44 @@ def cup_basis(
     >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
     (4, BasisClass(gamma=Fraction(2, 3), d=2))
     """
-    s0, s1 = basis_sector(w, a), basis_sector(w, b)
-    g = (s0.gamma + s1.gamma) % 1
-    # g is a sector exactly when some coordinate is fixed by it.
-    s = sector_table(w).get(g)
-    if s is None:
-        return 0, None
-    carry = [i for i, p in enumerate(s0.parts) if p + s1.parts[i] >= w.lcm]
-    d = a.d + b.d + len(carry)
-    if d > s.dim:
-        return 0, None
-    return math.prod(w[i] for i in carry), BasisClass(g, d)
+    hit = _carry(w, basis_sector(w, a), basis_sector(w, b))
+    if hit is not None:
+        coeff, s, size = hit
+        d = a.d + b.d + size
+        if d <= s.dim:
+            return coeff, BasisClass(s.gamma, d)
+    return 0, None
+
+
+@lru_cache(maxsize=None)
+def cup_table(w: Weights) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+    """The cup product by basis position: ``cup_table(w)[p][q]`` is
+    ``(coefficient, target position)`` for the classes at positions ``p``
+    and ``q`` of :func:`ordered_basis`, with ``(0, None)`` for zero.
+
+    The position of ``eta_g^d`` is ``k_min(g) + d``: the basis and the
+    s-sequence both list the sectors in ascending order, each ``|I(g)|``
+    times.  The table is made of tuples only, so the cache cannot change.
+
+    >>> cup_table(Weights(1, 2))
+    (((1, 0), (1, 1), (1, 2)), ((1, 1), (0, None), (0, None)), ((1, 2), (0, None), (1, 1)))
+    """
+    records = tuple(sector_table(w).values())
+    zero = (0, None)
+    rows = []
+    for s0 in records:
+        hits = [(s1.dim + 1, _carry(w, s0, s1)) for s1 in records]
+        for d0 in range(s0.dim + 1):
+            row = []
+            for width, hit in hits:
+                if hit is None:
+                    row += [zero] * width
+                    continue
+                coeff, s, size = hit
+                for d in range(d0 + size, d0 + size + width):
+                    row.append((coeff, s.k_min + d) if d <= s.dim else zero)
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def unit(w: Weights) -> CohClass:

@@ -11,7 +11,11 @@ produces monomial exponents whose running minima reproduce the s-sequence;
 The rank-``mu`` quotient has basis ``[omega_0], ..., [omega_{mu-1}]`` with
 
 * product: ``[omega_i] * [omega_j]`` is a pure weight power times
-  ``[omega_{(i+j) mod mu}]`` (exponent arithmetic in Z^{n+1}),
+  ``[omega_{(i+j) mod mu}]``, with exponent
+  ``a(k(i)) + a(k(j)) - a(k(i+j)) + a((i+j) mod mu) - a(i+j)`` where
+  ``k(i)`` is ``k_min`` of ``s(i)``; since ``a(k + mu) = a(k) + w``, this
+  is a ratio of the per-index integers ``prod w_l^a(k(i))_l`` (or of their
+  cofactors in ``prod w_l^w_l`` once ``i + j >= mu``),
 * residue metric: ``g(e_j, e_k) = prod(1/w_i, i in I(s(k)))`` when
   ``j + k = n mod mu``, else 0,
 * degree-one tensor ``((omega_1, omega_j, omega_k)) = g(e_1 * e_j, e_k)``
@@ -27,10 +31,11 @@ multiset of weights, not on their order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinatorics import SectorData, Weights, s_sequence, sector_table, spectrum
+from .combinatorics import ZERO, SectorData, Weights, s_sequence, sector_table, spectrum
 from .linalg import Matrix, zeros
 
 
@@ -63,15 +68,15 @@ def _index_sectors(w: Weights) -> tuple[SectorData, ...]:
     return tuple(table[v] for v in s_sequence(w))
 
 
-def _weight_power(w: Weights, exponent: tuple[int, ...]) -> Fraction:
-    num = 1
-    den = 1
-    for wi, e in zip(w, exponent):
-        if e >= 0:
-            num *= wi**e
-        else:
-            den *= wi ** (-e)
-    return Fraction(num, den)
+@lru_cache(maxsize=None)
+def _index_powers(w: Weights) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each index ``k``: ``prod w_l^a(k_min(s(k)))_l``, and its cofactor
+    ``prod w_l^(w_l - a(k_min(s(k)))_l)`` in ``prod w_l^w_l``."""
+    a = omega_frame(w)
+    low = [a[s.k_min] for s in _index_sectors(w)]
+    up = tuple(math.prod(wi**e for wi, e in zip(w, x)) for x in low)
+    down = tuple(math.prod(wi ** (wi - e) for wi, e in zip(w, x)) for x in low)
+    return up, down
 
 
 def product(w: Weights, i: int, j: int) -> tuple[Fraction, int]:
@@ -81,20 +86,14 @@ def product(w: Weights, i: int, j: int) -> tuple[Fraction, int]:
     >>> product(Weights(1, 2), 1, 1)
     (Fraction(1, 2), 2)
     """
-    a = omega_frame(w)
-    secs = _index_sectors(w)
-    tgt = (i + j) % w.mu
-    exponent = tuple(
-        km_i + km_j - km_t + at - aij
-        for km_i, km_j, km_t, at, aij in zip(
-            a[secs[i].k_min],
-            a[secs[j].k_min],
-            a[secs[tgt].k_min],
-            a[tgt],
-            a[i + j],
-        )
-    )
-    return _weight_power(w, exponent), tgt
+    up, down = _index_powers(w)
+    tgt = i + j
+    if tgt < w.mu:
+        return Fraction(up[i] * up[j], up[tgt]), tgt
+    # a(i + j) = a(tgt) + w: over prod w_l^w_l, written with the cofactors
+    # so that no factor exceeds it.
+    tgt -= w.mu
+    return Fraction(down[tgt], down[i] * down[j]), tgt
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +110,7 @@ def metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
 def metric(w: Weights, j: int, k: int) -> Fraction:
     """Residue pairing ``g(e_j, e_k)``; nonzero exactly on ``j + k = n mod mu``."""
     dual, entry = metric_diagonal(w)
-    return entry[k] if dual[k] == j else Fraction(0)
+    return entry[k] if dual[k] == j else ZERO
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +128,7 @@ def three_tensor(w: Weights, j: int, k: int) -> Fraction:
     """
     dual, entry = metric_diagonal(w)
     if dual[(1 + j) % w.mu] != k:
-        return Fraction(0)
+        return ZERO
     sig = spectrum(w)
     if sig[1] + sig[j] + sig[k] == w.n:
         return entry[j]

@@ -161,20 +161,17 @@ def _cup(cfg: argparse.Namespace):
     from . import acohomology
 
     w = cfg.weights
-    basis = acohomology.ordered_basis(w)
-    elems = [_elem(bc) for bc in basis]
-    table = []
-    for a, a_elem in zip(basis, elems):
-        for b, b_elem in zip(basis, elems):
-            coeff, target = acohomology.cup_basis(w, a, b)
-            table.append(
-                {
-                    "a": a_elem,
-                    "b": b_elem,
-                    "coeff": _r(coeff),
-                    "out": None if target is None else _elem(target),
-                }
-            )
+    elems = [_elem(bc) for bc in acohomology.ordered_basis(w)]
+    table = [
+        {
+            "a": a_elem,
+            "b": b_elem,
+            "coeff": _r(coeff),
+            "out": None if target is None else elems[target],
+        }
+        for a_elem, row in zip(elems, acohomology.cup_table(w))
+        for b_elem, (coeff, target) in zip(elems, row)
+    ]
 
     def rows():
         # A zero product has no target: null in JSON, ``0 0`` in TSV.

@@ -20,7 +20,9 @@ holds the combinatorial layer both sides are built on:
   ``ValueError`` on a non-sector.
 
 All functions are pure and exact (integer and ``Fraction`` arithmetic), and
-results for a given weight vector are cached.
+results for a given weight vector are cached.  :data:`ZERO` is the one
+``Fraction(0)`` that the pairing, the residue metric, the 3-point tensor
+and zero matrices return, so a checker can pass two zeros by identity.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from types import MappingProxyType
 
 #: A sector is represented by its rotation number: a reduced rational in [0, 1).
 Sector = Fraction
+
+#: The shared exact zero.
+ZERO = Fraction(0)
 
 
 class Weights:

@@ -14,6 +14,13 @@ The checkers verify every statement on every basis pair and report either
 PASS or the list of counterexamples in basis order.  They are regression
 instruments: a failure carries the offending pair, both exact values and
 the mapped indices.
+
+They read tables by position, not classes by hash: the cup product from
+:func:`~orbimirror.acohomology.cup_table`, its target positions moved to B
+indices through one list, and the spectrum as integers scaled by
+``D = lcm(w)``.  Zero entries are the one shared
+:data:`~orbimirror.combinatorics.ZERO`, which
+:meth:`CheckReport.compare` passes by identity.
 """
 
 from __future__ import annotations
@@ -25,12 +32,12 @@ from . import aquantum, bside
 from .acohomology import (
     BasisClass,
     basis_index,
-    cup_basis,
+    cup_table,
     degree,
     gram_matrix,
     ordered_basis,
 )
-from .combinatorics import Weights, sector_table, spectrum
+from .combinatorics import ZERO, Weights, sector_table, spectrum
 from .errors import InternalConsistencyError
 
 
@@ -74,9 +81,10 @@ class CheckReport:
     ) -> None:
         """Count one check that ``a_side == b_side``.  A failure records
         ``check``, then ``where``, then both values as text under the two
-        keys ``sides``; nothing is turned into text while the check passes."""
+        keys ``sides``; nothing is turned into text while the check passes,
+        and one object passes without being compared."""
         self.checks += 1
-        if a_side != b_side:
+        if a_side is not b_side and a_side != b_side:
             a_key, b_key = sides
             self.failures.append(
                 {"check": check, **where, a_key: _text(a_side), b_key: _text(b_side)}
@@ -111,13 +119,15 @@ def basis_label(bc: BasisClass) -> tuple[str, int]:
     return str(bc.gamma), bc.d
 
 
-def _basis_pairs(w: Weights, xi: MirrorIndexMap):
-    """Every ordered pair ``a, b`` of basis classes, in basis order, with the
-    failure-record fields ``pair`` and ``indices`` (the B indices)."""
-    rows = [(bc, basis_label(bc), xi.forward[bc]) for bc in ordered_basis(w)]
-    for a, la, ia in rows:
-        for b, lb, ib in rows:
-            yield a, b, {"pair": (la, lb), "indices": (ia, ib)}
+def _basis_pairs(w: Weights, xi: MirrorIndexMap) -> list:
+    """Every ordered pair of basis positions ``p, q``, in basis order, with
+    their B indices and the failure-record fields ``pair`` and ``indices``."""
+    rows = [(p, basis_label(bc), xi.forward[bc]) for p, bc in enumerate(ordered_basis(w))]
+    return [
+        (p, q, ia, ib, {"pair": (la, lb), "indices": (ia, ib)})
+        for p, la, ia in rows
+        for q, lb, ib in rows
+    ]
 
 
 def _at_b_indices(w: Weights, xi: MirrorIndexMap, *tables) -> list:
@@ -135,8 +145,9 @@ def check_classical(w: Weights) -> CheckReport:
     report = CheckReport("classical")
     xi = mirror_index_map(w)
     sigma = spectrum(w)
+    basis = ordered_basis(w)
 
-    for bc in ordered_basis(w):
+    for bc in basis:
         k = xi.forward[bc]
         report.compare(
             "grading",
@@ -147,18 +158,22 @@ def check_classical(w: Weights) -> CheckReport:
             index=k,
         )
 
+    pairs = _basis_pairs(w, xi)
     (gram,) = _at_b_indices(w, xi, gram_matrix(w))
     metric = bside.metric_matrix(w)
-    for _, _, where in _basis_pairs(w, xi):
-        ia, ib = where["indices"]
+    for _, _, ia, ib, where in pairs:
         report.compare("pairing", gram[ia][ib], metric[ia][ib], **where)
 
-    for a, b, where in _basis_pairs(w, xi):
-        ia, ib = where["indices"]
-        coeff, target = cup_basis(w, a, b)
-        a_vec = {xi.forward[target]: coeff} if target is not None else {}
+    # B index of each basis position, and D * sigma as integers.
+    to_b = [xi.forward[bc] for bc in basis]
+    lcm = w.lcm
+    scaled = [(lcm * x).numerator for x in sigma]
+    cups = cup_table(w)
+    for p, q, ia, ib, where in pairs:
+        coeff, target = cups[p][q]
+        a_vec = {to_b[target]: coeff} if target is not None else {}
         bcoeff, btarget = bside.product(w, ia, ib)
-        graded = sigma[ia] + sigma[ib] == sigma[btarget]
+        graded = scaled[ia] + scaled[ib] == scaled[btarget]
         b_vec = {btarget: bcoeff} if graded else {}
         report.compare("graded_product", a_vec, b_vec, **where)
     return report
@@ -192,8 +207,8 @@ def check_quantum(w: Weights) -> CheckReport:
         check="a0_transport",
         detail="P^T * A0_A * P != A0_B at Q=1",
     )
-    for _, _, where in _basis_pairs(w, xi):
-        ia, ib = where["indices"]
+    pairs = _basis_pairs(w, xi)
+    for _, _, ia, ib, where in pairs:
         report.compare("a0_entry", a0_a[ia][ib], a0_b[ia][ib], **where)
 
     for bc in ordered_basis(w):
@@ -219,15 +234,15 @@ def check_quantum(w: Weights) -> CheckReport:
 
     # Column a of A0 is mu * (eta_1^1 * a) at Q = 1, so the 3-point number
     # ((eta_1^1, a, b)) = g(eta_1^1 * a, b) is (A0^T G)[a][b] / mu; both
-    # tables are already at B indices.
+    # tables are already at B indices.  The sum skips zero terms and starts
+    # from the shared zero, so a vanishing number is that zero.
     images = [
         [(r, a0_a[r][j] / w.mu) for r in range(w.mu) if a0_a[r][j]] for j in range(w.mu)
     ]
-    for _, _, where in _basis_pairs(w, xi):
-        ia, ib = where["indices"]
+    for _, _, ia, ib, where in pairs:
         report.compare(
             "three_point_tensor",
-            sum((c * gram_a[r][ib] for r, c in images[ia]), Fraction(0)),
+            sum((c * gram_a[r][ib] for r, c in images[ia] if gram_a[r][ib]), ZERO),
             bside.three_tensor(w, ia, ib),
             **where,
         )

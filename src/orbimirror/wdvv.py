@@ -283,7 +283,10 @@ def _multi_index(alpha, mu: int) -> MultiIndex:
     Here and in every index check of this module an index is a plain
     ``int``: a ``bool`` or another subclass of ``int`` is refused.
     """
-    alpha = tuple(alpha)
+    try:
+        alpha = tuple(alpha)
+    except TypeError:
+        raise ValueError(f"multi-index {alpha} is not in N^{mu}") from None
     if len(alpha) != mu or not all(type(x) is int and x >= 0 for x in alpha):
         raise ValueError(f"multi-index {alpha} is not in N^{mu}")
     return alpha

@@ -5,7 +5,10 @@ plane curves come from the classical recursion, the per-sector data (fixed
 sets, dimensions, ages and ``k_min``) has its ``Fraction`` definitions,
 the falling-factorial ratio below is an alternative route to the sector
 structure constants, the cup product is the Chen-Ruan formula with its
-obstruction set, stated over those ``Fraction`` definitions, the degree-one
+obstruction set, stated over those ``Fraction`` definitions, and again as
+the per-pair carry rule over the sector table's integer parts with the
+target found by ``Fraction`` addition, the B product is the weight power of
+an exponent vector summed from five frame rows, the degree-one
 3-point numbers are sorted into vanishing, classical and quantum cases by
 an integer congruence mod ``mu``, the WDVV residual is summed term by term
 over every ``beta <= alpha`` and every ``a``, with no index of the stored
@@ -33,8 +36,8 @@ from orbimirror import (
     inverse_sector,
     sectors,
 )
-from orbimirror.bside import metric_diagonal
-from orbimirror.combinatorics import spectrum
+from orbimirror.bside import metric_diagonal, omega_frame
+from orbimirror.combinatorics import s_sequence, sector_table, spectrum
 
 
 def frac(q: Fraction) -> Fraction:
@@ -131,6 +134,48 @@ def cup_basis_reference(w: Weights, a: BasisClass, b: BasisClass):
     excess = fixed - (fixed_indices(w, g0) & fixed_indices(w, g1))
     k = obstruction_set(w, g0, g1, frac(-g)) | excess
     return Fraction(math.prod(w[i] for i in k)), BasisClass(g, int(d))
+
+
+def _basis_record(w: Weights, c: BasisClass):
+    s = sector_table(w).get(c.gamma)
+    if s is None or not 0 <= c.d <= s.dim:
+        raise ValueError(f"eta_{c.gamma}^{c.d} is not a basis class of P{w.w}")
+    return s
+
+
+def cup_basis_carry(w: Weights, a: BasisClass, b: BasisClass):
+    """The cup product by the carry rule, pair by pair: the target sector
+    ``g = (g0 + g1) % 1`` in ``Fraction`` arithmetic, looked up by hash, and
+    ``K = {i : p0_i + p1_i >= D}`` over the integer parts.  Raises
+    ``ValueError`` if ``a`` or ``b`` is not a basis class."""
+    s0, s1 = _basis_record(w, a), _basis_record(w, b)
+    g = (s0.gamma + s1.gamma) % 1
+    s = sector_table(w).get(g)
+    if s is None:
+        return 0, None
+    carry = [i for i, p in enumerate(s0.parts) if p + s1.parts[i] >= w.lcm]
+    d = a.d + b.d + len(carry)
+    if d > s.dim:
+        return 0, None
+    return math.prod(w[i] for i in carry), BasisClass(g, d)
+
+
+def b_product_exponents(w: Weights, i: int, j: int):
+    """``[omega_i] * [omega_j]`` as ``(coefficient, (i + j) mod mu)``: the
+    weight power of ``a(k(i)) + a(k(j)) - a(k(t)) + a(t) - a(i + j)``, with
+    ``a`` the frame, ``t = (i + j) mod mu`` and ``k(x)`` the first position
+    of the value ``s(x)`` in the s-sequence."""
+    a = omega_frame(w)
+    values = s_sequence(w)
+    tgt = (i + j) % w.mu
+    first = [values.index(values[x]) for x in (i, j, tgt)]
+    exponent = [
+        ki + kj - kt + at - aij
+        for ki, kj, kt, at, aij in zip(*(a[k] for k in first), a[tgt], a[i + j])
+    ]
+    num = math.prod(wi**e for wi, e in zip(w, exponent) if e > 0)
+    den = math.prod(wi ** (-e) for wi, e in zip(w, exponent) if e < 0)
+    return Fraction(num, den), tgt
 
 
 class TripleKind(enum.Enum):

@@ -15,7 +15,7 @@ import pytest
 
 from orbimirror import BasisClass, Weights, acohomology, aquantum, bside
 from orbimirror import check_classical, check_quantum
-from orbimirror import cli, run_selftest, sector_table, selftest
+from orbimirror import cli, mirror, run_selftest, sector_table, selftest
 
 
 def _by_check(report) -> dict:
@@ -88,6 +88,34 @@ def test_mirror_failure_records(monkeypatch):
                 ("indices", (2, 2)),
                 ("a_side", "0"),
                 ("b_side", "1"),
+            ],
+        ),
+    }
+
+
+def test_cup_table_failure_records(monkeypatch):
+    # eta_1^1 * eta_1^1 doubled in the cup table the classical checker reads:
+    # exactly that pair fails graded_product.
+    cup_table = acohomology.cup_table
+
+    def one_doubled(w):
+        rows = [list(row) for row in cup_table(w)]
+        coeff, target = rows[1][1]
+        rows[1][1] = (2 * coeff, target)
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(mirror, "cup_table", one_doubled)
+    classical = check_classical(Weights(1, 2, 3))
+    assert classical.checks == 78
+    assert _by_check(classical) == {
+        "graded_product": (
+            1,
+            [
+                ("check", "graded_product"),
+                ("pair", (("0", 1), ("0", 1))),
+                ("indices", (1, 1)),
+                ("a_side", {2: "2"}),
+                ("b_side", {2: "1"}),
             ],
         ),
     }

@@ -19,10 +19,11 @@ import pathlib
 
 import pytest
 
-from conftest import SUITE
+from conftest import CENSUS, SUITE
 from orbimirror import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+DIGESTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 FORMATS = ("json", "tsv")
 
 
@@ -96,6 +97,54 @@ def test_cli_payload_is_permutation_invariant(command, orders):
         assert payload.pop("weights") == list(wt)
         payloads.append(payload)
     assert all(p == payloads[0] for p in payloads[1:]), command
+
+
+def _permuted(wt: tuple[int, ...]) -> tuple[int, ...]:
+    """The reversed vector, or the vector rotated by one if it is a palindrome."""
+    return wt[::-1] if wt[::-1] != wt else wt[1:] + wt[:1]
+
+
+# A census vector is sorted, so it is a palindrome only when it is constant,
+# and then no reordering changes it: those vectors have no pair here.
+CENSUS_PAIRS = [(wt, _permuted(wt)) for wt in CENSUS if _permuted(wt) != wt]
+
+
+# Over the census, in process, reconstruct takes about 3.6 s and the other
+# seven commands about 7.5 s together.
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(c, marks=pytest.mark.slow) if c == "reconstruct" else c
+        for c in cli.COMMANDS
+    ],
+)
+def test_census_payload_is_permutation_invariant(command):
+    for wt, perm in CENSUS_PAIRS:
+        payload = json.loads(_stdout(command, wt, "json"))
+        other = json.loads(_stdout(command, perm, "json"))
+        assert payload.pop("weights") == list(wt)
+        assert other.pop("weights") == list(perm)
+        assert payload == other, (command, wt, perm)
+
+
+def _benchmark_keys() -> list[str]:
+    """The keys ``"<command> <weights>"`` of ``perfbench/digests.json`` that
+    name a plain CLI run: every command but ``reconstruct``, whose keys carry
+    a depth.  The ``sweep`` keys digest a library run, not a stdout."""
+    return sorted(
+        key
+        for key in json.loads(DIGESTS.read_text())
+        if key.split()[0] in cli.COMMANDS and key.split()[0] != "reconstruct"
+    )
+
+
+@pytest.mark.parametrize("key", _benchmark_keys())
+def test_cli_stdout_matches_benchmark_digest(key):
+    # The benchmark's rungs reach mu = 32 and 64, past the golden suite; the
+    # digest is the sha256 of the JSON stdout.  The file is only read.
+    command, csv = key.split()
+    wt = tuple(map(int, csv.split(",")))
+    assert _stdout_sha(command, wt, "json") == json.loads(DIGESTS.read_text())[key]
 
 
 if __name__ == "__main__":

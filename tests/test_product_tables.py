@@ -1,0 +1,80 @@
+"""The integer product layers against their per-pair oracles.
+
+``cup_table`` and ``cup_basis`` share one integer carry kernel, and
+``bside.product`` reads per-index integers; each must equal the per-pair
+``Fraction`` form it replaced (``tests/_oracles.py``) on every census vector
+and on the two top rungs of the benchmark's rank ladder.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import pytest
+
+from _oracles import b_product_exponents, cup_basis_carry
+from conftest import CENSUS
+from orbimirror import BasisClass, Weights, bside, cup_basis, cup_table, ordered_basis
+from orbimirror.acohomology import basis_index
+
+RUNGS = [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16)]
+VECTORS = pytest.mark.parametrize(
+    "wts",
+    [CENSUS] + [[wt] for wt in RUNGS],
+    ids=["census", "mu32", "mu64"],
+)
+
+
+@VECTORS
+def test_cup_basis_and_table_match_carry_oracle(wts):
+    for wt in wts:
+        w = Weights(wt)
+        basis = ordered_basis(w)
+        index = basis_index(w)
+        table = cup_table(w)
+        for p, a in enumerate(basis):
+            for q, b in enumerate(basis):
+                coeff, target = cup_basis_carry(w, a, b)
+                assert cup_basis(w, a, b) == (coeff, target), (wt, a, b)
+                position = None if target is None else index[target]
+                assert table[p][q] == (coeff, position), (wt, a, b)
+
+
+@VECTORS
+def test_b_product_matches_exponent_oracle(wts):
+    for wt in wts:
+        w = Weights(wt)
+        for i in range(w.mu):
+            for j in range(w.mu):
+                assert bside.product(w, i, j) == b_product_exponents(w, i, j), (wt, i, j)
+
+
+def test_cup_table_is_read_only():
+    table = cup_table(Weights(1, 2, 3))
+    assert all(type(row) is tuple for row in table)
+    assert all(type(entry) is tuple for row in table for entry in row)
+    with pytest.raises(TypeError):
+        table[0] = ()
+    with pytest.raises(TypeError):
+        table[0][0] = (0, None)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (BasisClass(F(1, 5), 0), BasisClass(F(0), 0)),
+        (BasisClass(F(0), 0), BasisClass(F(1, 5), 0)),
+        (BasisClass(F(1, 2), 2), BasisClass(F(0), 0)),
+        (BasisClass(F(0), 0), BasisClass(F(0), -1)),
+        (BasisClass(F(0), 3), BasisClass(F(1, 7), 0)),
+    ],
+    ids=["first_non_sector", "second_non_sector", "above_dim", "negative_d", "both"],
+)
+def test_cup_basis_refuses_like_the_oracle(a, b):
+    w = Weights(1, 2, 2, 3, 3, 3)
+    with pytest.raises(ValueError) as expected:
+        cup_basis_carry(w, a, b)
+    with pytest.raises(ValueError) as got:
+        cup_basis(w, a, b)
+    assert str(got.value) == str(expected.value)
+    assert "is not a basis class of P(1, 2, 2, 3, 3, 3)" in str(got.value)

@@ -492,7 +492,7 @@ def test_residual_tables_are_read_only():
 def test_residual_table_checks_alpha_before_any_table():
     # A fresh potential has no last table, so no alpha skips the checks.
     p = reconstruct(Weights(1, 1, 1), 5)
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(ValueError):
         residual_table(p, None)
     with pytest.raises(ValueError):
         residual_table(p, (0, 0, 3))
@@ -785,6 +785,18 @@ def test_coeff_rejects_malformed_multi_index(alpha):
     p = reconstruct(Weights(1, 1, 1), 5)
     with pytest.raises(ValueError):
         p.coeff(alpha)
+
+
+@pytest.mark.parametrize("alpha", [None, 5], ids=["none", "int"])
+def test_non_iterable_multi_index_is_a_value_error(alpha):
+    w = Weights(1, 1, 1)
+    p = reconstruct(w, 5)
+    with pytest.raises(ValueError, match=r"not in N\^3"):
+        p.coeff(alpha)
+    with pytest.raises(ValueError, match=r"not in N\^3"):
+        scaling_weight(w, alpha)
+    with pytest.raises(ValueError, match=r"not in N\^3"):
+        wdvv_residual(p, 0, 1, 2, 0, alpha)
 
 
 def _spy_on_rescales(monkeypatch):

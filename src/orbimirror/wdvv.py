@@ -54,13 +54,22 @@ admissible keys with ``alpha_0 = alpha_1 = 0``, one at a time.  The rule is
 tested in that walk alone; of each interior sum over ``a`` in an equation
 the solver keeps the one term the charge grading allows.
 
-Store and read.  The solver's memo is the potential.  Every value enters it
+Store and read.  The solver's memo is the potential, keyed by one integer id
+per multi-index.  With ``R = max_length + 1``, ``id(x) = |x| + sum_i x_i
+R^(i+1)``: in base ``R`` its digit 0 is ``|x|`` and its digit ``i + 1`` is
+``x_i``.  Every key the solver reads or writes has ``|x| <= max_length``, so
+every digit is below ``R`` and a sum of ids never carries: ``id(x + y) =
+id(x) + id(y)``, and ``id(alpha - beta) = id(alpha) - id(beta)`` for ``beta
+<= alpha``.  With ``id(e_i) = 1 + R^(i+1)`` stored once, ``id(x + e_p +
+e_q + e_r)`` is ``id(x) + id(e_p) + id(e_q) + id(e_r)``, an equation forms
+its four offsets once, each of its terms reads the memo with ``int``
+additions, and ``|x|`` is ``id(x) mod R``.  Every value enters the memo
 through one store, which keeps no zero and, while ``alpha_0 = 0`` and
-``|alpha| < max_length``, also writes ``alpha + e_1`` by the scaling
-identity.  The memo starts as the cubic data, stored so; then each walked
-key is solved by its one equation and stored.  A key with a
-slot 0 or 1 is never walked: it was written forward, or is zero.  An
-equation reads a key the memo lacks as zero.  The read is sound by the
+``|alpha| < max_length``, also writes ``alpha + e_1`` (the id plus
+``id(e_1)``) by the scaling identity.  The memo starts as the cubic data,
+stored so; then each walked key is solved by its one equation and stored.  A
+key with a slot 0 or 1 is never walked: it was written forward, or is zero.
+An equation reads a key the memo lacks as zero.  The read is sound by the
 order of the walk: by length, and within a length in descending
 lexicographic order.  A walked key ``alpha + e_m + e_k + e_l`` of length
 ``N``, ``m`` its smallest support index, is solved by ``(1, m - 1, k, l)``
@@ -70,32 +79,32 @@ key has none.  So it has a slot 0 or 1 (written forward, or zero), or it
 fails the selection rule (zero), or else it differs from the key only from
 slot ``m - 1`` on, is lexicographically larger, and was solved earlier at
 this length.  Every other term is shorter (solved at an earlier length), or
-has ``alpha_1 > 0`` (written forward from length ``N - 1``), or has a slot
-0 (zero).  A forward write keeps the charge rule, and the degree
-rule too: for ``n >= 1``, ``sigma(1) = 1`` and ``d(alpha + e_1) =
-d(alpha)``, and for ``n = 0`` every cubic datum has ``d = 0``, so nothing is
-written forward.  ``reconstruct`` returns the memo as it is.  The residuals
-do not use the rule, so a residual sweep stays an independent check of the
-solver, and of the rule itself.
+has ``alpha_1 > 0`` (written forward from length ``N - 1``), or has a slot 0
+(zero).  A forward write keeps the charge rule, and the degree rule too: for
+``n >= 1``, ``sigma(1) = 1`` and ``d(alpha + e_1) = d(alpha)``, and for
+``n = 0`` every cubic datum has ``d = 0``, so nothing is written forward.
+``reconstruct`` hands the memo on as it is, each id decoded back into its
+multi-index once.  The residuals do not use the rule, so a residual sweep
+stays an independent check of the solver, and of the rule itself.
 
-Integer layer.  The solver runs on ``int`` numerators.  With
-``P = prod(w)`` and a power ``c >= 1`` its memo holds
-``N(x) = A(x) P^(c (|x| + 2))``; the inverse metric entries ``g^{aa*}`` are
-integers (products of weights), and the cubic data enters as ``A P^(5c)``.
-In an equation every product of two known terms has its ``P`` powers
-summing to ``c (|alpha| + 10)``, as does the pivot times the unknown, so
-``N`` of the unknown is the integer sum of ``binom g^{aa*} N N`` over the
-known terms divided by ``g^{aa*} N`` of the pivot's cubic datum.  The
-scaling step reads ``N(x + e_1) = N(x) P^c D d(x) / (D mu)``.  Each is one
-``divmod``, and there is no fallback to ``Fraction``.  ``reconstruct`` makes
-the one ``Fraction`` view, ``N(x) / P^(c (|x| + 2))``, when it hands the
-memo to ``Potential``.  The scaling division is always exact, because by
-the charge rule ``d(x) / mu`` is an integer minus ``sum_k x_k s(k)``, whose
-denominator divides ``D``, which divides ``P``.  A pivot is ``g^{aa*}``
-times a cubic datum, a ratio of weight powers, so the recursion alone shows
-only that every ``A(x)`` lies in ``Z[1/P]``: each equation may add the
-``P``-adic valuation of its pivot to the exponent.  No fixed ``c`` is
-proved; ``c = 1`` is false: the cubic datum ``A(3 e_5)`` of
+Integer layer.  The solver runs on ``int`` numerators.  With ``P = prod(w)``
+and a power ``c >= 1`` its memo holds ``N(x) = A(x) P^(c (|x| + 2))`` under
+``id(x)``; the inverse metric entries ``g^{aa*}`` are integers (products of
+weights), and the cubic data enters as ``A P^(5c)``.  In an equation every
+product of two known terms has its ``P`` powers summing to ``c (|alpha| +
+10)``, as does the pivot times the unknown, so ``N`` of the unknown is the
+integer sum of ``binom g^{aa*} N N`` over the known terms divided by
+``g^{aa*} N`` of the pivot's cubic datum.  The scaling step reads ``N(x +
+e_1) = N(x) P^c D d(x) / (D mu)``.  Each is one ``divmod``, and there is no
+fallback to ``Fraction``.  ``reconstruct`` makes the one ``Fraction`` view,
+``N(x) / P^(c (|x| + 2))`` with ``|x| = id(x) mod R``, under the decoded
+``x``, when it hands the memo to ``Potential``.  The scaling division is
+always exact, because by the charge rule ``d(x) / mu`` is an integer minus
+``sum_k x_k s(k)``, whose denominator divides ``D``, which divides ``P``.  A
+pivot is ``g^{aa*}`` times a cubic datum, a ratio of weight powers, so the
+recursion alone shows only that every ``A(x)`` lies in ``Z[1/P]``: each
+equation may add the ``P``-adic valuation of its pivot to the exponent.  No
+fixed ``c`` is proved; ``c = 1`` is false: the cubic datum ``A(3 e_5)`` of
 ``(1,1,1,1,1,5)`` is ``5^-6``, against ``P^5 = 5^5``.  So ``c`` starts at 1
 and rises in place.  A cubic datum or an equation whose remainder has a
 reduced denominator sharing a prime with ``P`` multiplies every ``N(x)`` in
@@ -105,12 +114,12 @@ divides again.  The divisor is kept: at ``c + 1`` the known products gain
 ``P^(|alpha| + 10)`` and the pivot ``P^5``, whose ratio is the unknown's
 ``P^(|alpha| + 5)``.  Nothing is solved twice.  Any other remainder raises
 ``InternalConsistencyError`` (exit 3), as does any remainder in a scaling
-step.  Measured, not proved: every weight vector with mu <= 10
-reconstructs at length 6 with ``c <= 2``; ``(1,1,6)`` and
-``(1,1,1,1,1,5)`` are among the 35 that need ``c = 2``, and ``(2,3,4,5,7)``
-at length 5 needs all of ``P^(|x| + 2)``.  ``c <= 2`` does not hold at
-every depth: ``(1,1,1,1,1,5)`` needs ``c = 3`` at length 10, and
-``(1,1,1,1,1,1,7)``, with mu = 13, at length 6.
+step.  Measured, not proved: every weight vector with mu <= 10 reconstructs
+at length 6 with ``c <= 2``; ``(1,1,6)`` and ``(1,1,1,1,1,5)`` are among the
+35 that need ``c = 2``, and ``(2,3,4,5,7)`` at length 5 needs all of
+``P^(|x| + 2)``.  ``c <= 2`` does not hold at every depth: ``(1,1,1,1,1,5)``
+needs ``c = 3`` at length 10, and ``(1,1,1,1,1,1,7)``, with mu = 13, at
+length 6.
 
 Residuals.  WDVV ``(i, j, k, l)`` at ``alpha`` reads
 ``S(i, j, k, l) - S(j, k, i, l)``, where
@@ -314,28 +323,18 @@ def _exact(num: int, den: int, *where) -> int:
     return quotient
 
 
-def _bump(base: MultiIndex, x: int, y: int, z: int) -> MultiIndex:
-    """``base + e_x + e_y + e_z``."""
-    out = list(base)
-    out[x] += 1
-    out[y] += 1
-    out[z] += 1
-    return tuple(out)
-
-
-def _sub_indices(alpha: MultiIndex):
-    """All ``beta <= alpha`` componentwise with the product of binomials."""
-    for beta in iter_product(*[range(x + 1) for x in alpha]):
-        yield beta, math.prod(map(math.comb, alpha, beta))
-
-
 class _Reconstructor:
     """Coefficient solver in ``int`` that writes its memo forward and reads
-    it back; see the module docstring for the rules, the read invariant and
-    the integer layer.
+    it back; see the module docstring for the rules, the read invariant, the
+    key ids and the integer layer.
 
-    ``memo[x]`` is the numerator ``N(x) = A(x) scale^(|x| + 2)``, where
-    ``scale = P^c`` and ``P = prod(w)``.  ``c`` starts at 1, and
+    ``memo[id(x)]`` is the numerator ``N(x) = A(x) scale^(|x| + 2)``, where
+    ``scale = P^c`` and ``P = prod(w)``.  With ``R = max_length + 1``,
+    ``id(x) = |x| + sum_i x_i R^(i+1) = sum_i x_i step[i]``, where
+    ``step[i] = id(e_i) = 1 + R^(i+1)``.  Every key the solver reads or
+    writes has ``|x| <= max_length``, so each base-``R`` digit of an id is
+    below ``R`` and a sum of ids never carries; ``decode`` turns ids back
+    into multi-indices.  ``c`` starts at 1, and
     ``_rescale`` raises it by one in place when ``_divide`` meets a
     remainder whose reduced denominator shares a prime with ``P``.  Every
     value enters through ``_store``: the nonzero cubic data when the solver
@@ -351,19 +350,40 @@ class _Reconstructor:
         self.w = w
         self.mu = w.mu
         self.max_length = max_length
-        self.dual, self.ginv = _metric_diagonal(w)
+        self.radix = radix = max_length + 1
+        self.step = step = [1 + radix ** (i + 1) for i in range(w.mu)]
+        dual, ginv = _metric_diagonal(w)
+        # Per index ``a`` of an interior sum: ``id(e_a)``, ``g^{aa*}`` and
+        # ``id(e_{a*})``.
+        self.partner = [(step[a], ginv[a], step[dual[a]]) for a in range(w.mu)]
         self.degrees = _degree_table(w)
         self.weight_product = self.scale = math.prod(w)
-        self.memo: dict[MultiIndex, int] = {}
-        self._alpha: MultiIndex | None = None
+        self.memo: dict[int, int] = {}
+        self._alpha: int | None = None
+        self._alpha_key: MultiIndex = ()
         self._terms: list = []
-        zero = (0,) * w.mu
+        _, base, steps = self.degrees
         for triple, value in initial_coeffs(w).items():
             datum = self._divide(
                 value.numerator * self.scale**5, value.denominator, 3,
                 "cubic datum", triple,
             )
-            self._store(_bump(zero, *triple), datum)
+            i, j, k = triple
+            self._store(
+                step[i] + step[j] + step[k], datum,
+                base + steps[i] + steps[j] + steps[k],
+            )
+
+    def decode(self, keys) -> list[MultiIndex]:
+        """The multi-index ``x`` with ``id(x) = key`` for each of ``keys``, in
+        their order."""
+        radix = self.radix
+        keys = [key // radix for key in keys]
+        slots = []
+        for _ in range(self.mu):
+            slots.append([key % radix for key in keys])
+            keys = [key // radix for key in keys]
+        return list(zip(*slots))
 
     def _divide(self, num: int, den: int, length: int, *where) -> int:
         """``num / den`` for a value of length ``length``.
@@ -385,61 +405,82 @@ class _Reconstructor:
     def _rescale(self) -> None:
         """``scale *= P`` in place: every ``N(x)`` gains ``P^(|x| + 2)``."""
         p = self.weight_product
-        factor = [p ** (length + 2) for length in range(self.max_length + 1)]
+        radix = self.radix
+        factor = [p ** (length + 2) for length in range(radix)]
         memo = self.memo
         for key, value in memo.items():
-            memo[key] = value * factor[sum(key)]
+            memo[key] = value * factor[key % radix]
         self.scale *= p
 
-    def _store(self, key: MultiIndex, value: int) -> None:
+    def _store(self, key: int, value: int, weight: int) -> None:
         """Memoise ``N(key)`` unless it is zero, and while ``key_0 = 0`` and
         ``|key| < max_length``, its scaling image ``N(key + e_1) = N(key)
-        scale D d(key) / (D mu)`` too."""
+        scale D d(key) / (D mu)`` too; ``weight`` is ``D d(key)``."""
         memo = self.memo
-        length = sum(key)
+        radix = self.radix
+        # Forward steps left: none from a key with a unit at slot 0.
+        left = 0 if key // radix % radix else self.max_length - key % radix
+        den = self.degrees[0] * self.mu
         while value:
             memo[key] = value
-            if key[0] or length >= self.max_length:
+            if not left:
                 return
-            weight = _scaled_weight(self.degrees, key)
-            key = (0, key[1] + 1) + key[2:]
-            value = _exact(
-                value * self.scale * weight, self.degrees[0] * self.mu,
-                "scaling step to", key,
-            )
-            length += 1
+            left -= 1
+            num = value * self.scale * weight
+            value, remainder = divmod(num, den)
+            key += self.step[1]
+            if remainder:
+                _exact(num, den, "scaling step to", self.decode([key])[0])
+            # ``d(key + e_1) = d(key) + sigma(1) - 1``.
+            weight += self.degrees[2][1]
 
     # -- one WDVV equation per unknown ------------------------------------
 
     def _solve(self, key: MultiIndex) -> None:
         """Solve and store ``N(key)``, ``key`` supported on indices >= 2, by
         WDVV ``(1, m - 1, k, l)`` at ``alpha = key - e_m - e_k - e_l``."""
-        m = next(i for i, x in enumerate(key) if x)
-        rest = list(key)
-        rest[m] -= 1
-        k = max(i for i, x in enumerate(rest) if x)
-        rest[k] -= 1
-        l = max(i for i, x in enumerate(rest) if x)
-        rest[l] -= 1
-        alpha = tuple(rest)
-        # Split the equation once per ``alpha`` into ``(beta, alpha - beta,
+        step = self.step
+        support = [i for i, x in enumerate(key) if x]
+        # ``m`` is the smallest support index, ``k`` the largest, and ``l``
+        # the largest left once ``e_m + e_k`` is taken off.
+        m = support[0]
+        k = support[-1]
+        l = k if key[k] > 1 else support[-2]
+        key_id = sum(map(operator.mul, key, step))
+        alpha = key_id - step[m] - step[k] - step[l]
+        # Split the equation once per ``alpha`` into ``(id(beta),
         # binom(alpha, beta), n + |beta| - charge(beta))``, ``beta = 0``
-        # first; ``|beta| - charge(beta)`` is ``-sum_k (k - 1) beta_k``.  Keys
-        # walked in a row often share ``alpha``, so the last split is kept.
+        # first, slot by slot; ``|beta| - charge(beta)`` is ``-sum_i (i - 1)
+        # beta_i``.  Keys walked in a row often share ``alpha``, so the last
+        # split is kept.
         if alpha != self._alpha:
-            n = self.w.n
-            lowered = range(-1, self.mu - 1)
-            self._terms = [
-                (beta, tuple(map(operator.sub, alpha, beta)), binom,
-                 n - sum(map(operator.mul, lowered, beta)))
-                for beta, binom in _sub_indices(alpha)
-            ]
+            rest = list(key)
+            rest[m] -= 1
+            rest[k] -= 1
+            rest[l] -= 1
+            terms = [(0, 1, self.w.n)]
+            for i, x in enumerate(rest):
+                if x:
+                    row = [
+                        (y * step[i], math.comb(x, y), (1 - i) * y)
+                        for y in range(x + 1)
+                    ]
+                    terms = [
+                        (beta + b, binom * c, shift + s)
+                        for beta, binom, shift in terms
+                        for b, c, s in row
+                    ]
+            self._terms = terms
             self._alpha = alpha
-        self._store(key, self._solve_equation(self._terms, m - 1, k, l))
+            self._alpha_key = tuple(rest)
+        self._store(
+            key_id, self._solve_equation(m - 1, k, l),
+            _scaled_weight(self.degrees, key),
+        )
 
-    def _solve_equation(self, terms: list, j: int, k: int, l: int) -> int:
-        """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at ``alpha``,
-        the ``alpha - beta`` of the first of ``terms``.
+    def _solve_equation(self, j: int, k: int, l: int) -> int:
+        """Isolate the leading unknown of WDVV ``(1, j, k, l)`` at the
+        ``alpha`` of the last split.
 
         The unknown ``A(alpha + e_{1+j} + e_k + e_l)`` is the left-side term
         at ``beta = 0``.  The other top-length one, ``A(alpha + e_j + e_k +
@@ -451,27 +492,34 @@ class _Reconstructor:
         terms, divided by ``ginv[a] N`` of the cubic datum at ``beta = 0``.
         """
         mu = self.mu
-        dual = self.dual
-        ginv = self.ginv
+        step = self.step
+        partner = self.partner
         get = self.memo.get
-        origin = terms[0][0]
+        alpha = self._alpha
+        # The ids of ``e_1 + e_j``, ``e_j + e_k``, ``alpha + e_k + e_l`` and
+        # ``alpha + e_1 + e_l``: each read adds ``id(e_a)`` or ``id(e_{a*})``
+        # and adds ``id(beta)`` to the first two, subtracts it from the rest.
+        left_f = step[1] + step[j]
+        left_h = step[j] + step[k]
+        right_f = alpha + step[k] + step[l]
+        right_h = alpha + step[1] + step[l]
         total = 0
         pivot = 0
         # Of each sum over ``a`` only the one ``a`` that gives the first
         # factor the right charge can be nonzero.
-        for beta, gamma, binom, shift in terms:
-            a = (shift - j - 1) % mu
-            f1 = get(_bump(beta, 1, j, a), 0)
-            if beta is origin:
+        for beta, binom, shift in self._terms:
+            u, g, v = partner[(shift - j - 1) % mu]
+            f1 = get(beta + left_f + u, 0)
+            if not beta:
                 # The unknown's own term: keep its coefficient as the pivot.
-                pivot = ginv[a] * f1
+                pivot = g * f1
             elif f1:
-                total -= binom * ginv[a] * f1 * get(_bump(gamma, dual[a], k, l), 0)
-            a = (shift - j - k) % mu
-            h1 = get(_bump(beta, j, k, a), 0)
+                total -= binom * g * f1 * get(right_f - beta + v, 0)
+            u, g, v = partner[(shift - j - k) % mu]
+            h1 = get(beta + left_h + u, 0)
             if h1:
-                total += binom * ginv[a] * h1 * get(_bump(gamma, dual[a], 1, l), 0)
-        alpha = terms[0][1]
+                total += binom * g * h1 * get(right_h - beta + v, 0)
+        alpha = self._alpha_key
         if not pivot:
             raise InternalConsistencyError(
                 f"zero pivot in WDVV equation (1,{j},{k},{l}) at alpha={alpha}"
@@ -521,7 +569,12 @@ def _admissible_keys(w: Weights, max_length: int):
             top = best[k + 1][r - x].get(c)
             if top is not None and d + top >= 0:
                 key[k] = x
-                yield from walk(k + 1, r - x, c, d)
+                if k + 2 == mu:
+                    # The last slot takes the ``r - x`` units ``best`` admits.
+                    key[k + 1] = r - x
+                    yield tuple(key)
+                else:
+                    yield from walk(k + 1, r - x, c, d)
 
     # Returned, not yielded, so the call builds the table above: a depth it
     # cannot index fails before the solver is seeded.  With ``mu = 2`` there
@@ -551,13 +604,16 @@ def reconstruct(w: Weights, max_length: int) -> Potential:
     rec = _Reconstructor(w, max_length)
     for key in keys:
         rec._solve(key)
-    # The memo holds no zero.  Turn its numerators into their one
-    # ``Fraction`` view in place: ``Potential`` makes the one copy.
+    # The memo holds no zero.  Its one ``Fraction`` view decodes each id once,
+    # in the memo's order.
     memo = rec.memo
-    den = [rec.scale ** (length + 2) for length in range(max_length + 1)]
-    for key, value in memo.items():
-        memo[key] = Fraction(value, den[sum(key)])
-    return Potential(weights=w, max_length=max_length, coeffs=memo)
+    radix = rec.radix
+    den = [rec.scale ** (length + 2) for length in range(radix)]
+    coeffs = zip(
+        rec.decode(memo),
+        [Fraction(value, den[key % radix]) for key, value in memo.items()],
+    )
+    return Potential(weights=w, max_length=max_length, coeffs=dict(coeffs))
 
 
 def _third_derivatives(key: MultiIndex):
@@ -653,15 +709,17 @@ def residual_table(p: Potential, alpha: MultiIndex) -> Mapping[Equation, Fractio
     shallow to evaluate it.
     """
     tables = p._residual_tables
-    # The last alpha's own tuple has passed these checks already; a potential
-    # with no table yet has no last alpha, only ``None`` in its place.
-    if alpha is None or alpha is not tables.alpha:
-        alpha = _multi_index(alpha, p.weights.mu)
-        if sum(alpha) + 3 > p.max_length:
-            raise ValueError(
-                f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
-                f"potential has {p.max_length}"
-            )
+    # The last alpha's own tuple has passed the checks below already; a
+    # potential with no table yet has no last alpha, only ``None`` in its
+    # place.
+    if alpha is tables.alpha is not None:
+        return tables.residuals
+    alpha = _multi_index(alpha, p.weights.mu)
+    if sum(alpha) + 3 > p.max_length:
+        raise ValueError(
+            f"residual at |alpha|={sum(alpha)} needs depth {sum(alpha) + 3}, "
+            f"potential has {p.max_length}"
+        )
     return tables.at(alpha)
 
 
@@ -679,9 +737,11 @@ def wdvv_residual(
     potential is too shallow to evaluate it.
     """
     mu = p.weights.mu
-    for x in (i, j, k, l):
-        if not (type(x) is int and 0 <= x < mu):
-            raise ValueError(
-                f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
-            )
+    if not (
+        type(i) is type(j) is type(k) is type(l) is int
+        and 0 <= i < mu and 0 <= j < mu and 0 <= k < mu and 0 <= l < mu
+    ):
+        raise ValueError(
+            f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
+        )
     return residual_table(p, alpha).get((i, j, k, l), _ZERO)

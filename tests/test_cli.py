@@ -343,11 +343,9 @@ def test_command_loads_only_its_modules(command):
 
 # ``dataclasses`` imports ``inspect`` (and with it ``dis``, ``ast`` and
 # ``tokenize``), which would be most of a cold start.  No command loads either:
-# the records are named tuples or plain classes.  The test keeps the name it
-# had while ``reconstruct`` still loaded ``dataclasses``, so its ids stay put;
-# ``reconstruct`` is now among the commands it checks.
+# the records are named tuples or plain classes.
 @pytest.mark.parametrize("command", [None, *COMMAND_MODULES])
-def test_only_reconstruct_loads_dataclasses(command):
+def test_no_command_loads_dataclasses(command):
     code = "import orbimirror.cli" if command is None else command_probe(command)
     assert {"dataclasses", "inspect"} & loaded_modules(code) == set()
 

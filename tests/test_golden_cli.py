@@ -20,7 +20,7 @@ import pathlib
 import pytest
 
 from conftest import CENSUS, SUITE
-from orbimirror import cli
+from orbimirror import Weights, cli, reconstruct
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 DIGESTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -36,10 +36,10 @@ def _cases(command: str):
         yield wt
 
 
-def _stdout(command: str, wt: tuple[int, ...], fmt: str) -> str:
+def _stdout(command: str, wt: tuple[int, ...], fmt: str, max_length: int = 6) -> str:
     argv = [command, "--weights", ",".join(map(str, wt)), "--format", fmt]
     if command == "reconstruct":
-        argv += ["--max-length", "6"]
+        argv += ["--max-length", str(max_length)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
@@ -47,8 +47,8 @@ def _stdout(command: str, wt: tuple[int, ...], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _stdout_sha(command: str, wt: tuple[int, ...], fmt: str) -> str:
-    return hashlib.sha256(_stdout(command, wt, fmt).encode()).hexdigest()
+def _stdout_sha(command: str, wt: tuple[int, ...], fmt: str, max_length: int = 6) -> str:
+    return hashlib.sha256(_stdout(command, wt, fmt, max_length).encode()).hexdigest()
 
 
 def _key(command: str, wt: tuple[int, ...], fmt: str) -> str:
@@ -128,23 +128,29 @@ def test_census_payload_is_permutation_invariant(command):
 
 
 def _benchmark_keys() -> list[str]:
-    """The keys ``"<command> <weights>"`` of ``perfbench/digests.json`` that
-    name a plain CLI run: every command but ``reconstruct``, whose keys carry
-    a depth.  The ``sweep`` keys digest a library run, not a stdout."""
-    return sorted(
-        key
-        for key in json.loads(DIGESTS.read_text())
-        if key.split()[0] in cli.COMMANDS and key.split()[0] != "reconstruct"
-    )
+    """The keys of ``perfbench/digests.json``: ``"<command> <weights>"`` for a
+    plain CLI run, ``"reconstruct <weights> L<depth>"`` and ``"sweep
+    <weights> L<depth> a<max alpha>"``."""
+    return sorted(json.loads(DIGESTS.read_text()))
 
 
 @pytest.mark.parametrize("key", _benchmark_keys())
 def test_cli_stdout_matches_benchmark_digest(key):
-    # The benchmark's rungs reach mu = 32 and 64, past the golden suite; the
-    # digest is the sha256 of the JSON stdout.  The file is only read.
-    command, csv = key.split()
+    # The benchmark's rungs reach mu = 32 and 64 and depths past the golden
+    # suite.  A CLI key's digest is the sha256 of the JSON stdout; a sweep
+    # key's is the sha256 of the JSON rows ``[alpha, str(A)]`` of
+    # ``nonzero_items()`` of the library ``reconstruct``.  The file is only
+    # read.
+    command, csv, *rest = key.split()
     wt = tuple(map(int, csv.split(",")))
-    assert _stdout_sha(command, wt, "json") == json.loads(DIGESTS.read_text())[key]
+    depth = int(rest[0].removeprefix("L")) if rest else 6
+    want = json.loads(DIGESTS.read_text())[key]
+    if command == "sweep":
+        p = reconstruct(Weights(wt), depth)
+        rows = [[list(alpha), str(value)] for alpha, value in p.nonzero_items()]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == want
+    else:
+        assert _stdout_sha(command, wt, "json", depth) == want
 
 
 if __name__ == "__main__":

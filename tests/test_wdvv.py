@@ -8,6 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from _oracles import (
+    _bump,
     compositions,
     kontsevich_numbers,
     reconstruct_reference,
@@ -32,7 +33,6 @@ from orbimirror.bside import metric
 from orbimirror.combinatorics import spectrum
 from orbimirror.wdvv import (
     _admissible_keys,
-    _bump,
     _degree_table,
     _Reconstructor,
     _scaled_weight,
@@ -560,11 +560,9 @@ def test_potential_refuses_what_coeff_refuses(max_length, key):
     ids=_wt_id,
 )
 def test_residuals_vanish_to_mu_10(wt):
-    # Every (i, j, k, l) in [0, mu)^4 at |alpha| <= 3 for mu = 6 and at
-    # |alpha| <= 2 for mu = 10: 2,306,592 residuals over the suite members
+    # Every (i, j, k, l) in [0, mu)^4 at |alpha| <= 3 on the suite members
     # with 5 < mu <= 10.
-    max_alpha = 3 if sum(wt) <= 6 else 2
-    assert not _nonzero_residuals(reconstruct(Weights(wt), max_alpha + 3), max_alpha), wt
+    assert not _nonzero_residuals(reconstruct(Weights(wt), 6), 3), wt
 
 
 def test_random_weight_vectors():
@@ -643,8 +641,11 @@ def test_census_reconstructs_to_oracle(mu):
 def test_solver_reads_no_absent_nonzero_key(monkeypatch):
     # The solver reads an absent key as zero.  Every key it reads and lacks,
     # over these walks, must be a zero of the Fraction solver's potential.
+    # The memo is keyed by integer ids, so the misses are decoded by the
+    # solver's own ``decode`` before they meet the oracle's multi-indices.
     # Rank 2 needs no chain, so some vectors read nothing.
     misses = set()
+    built = []
     read = 0
 
     class MissLog(dict):
@@ -657,14 +658,18 @@ def test_solver_reads_no_absent_nonzero_key(monkeypatch):
         def __init__(self, w, max_length):
             super().__init__(w, max_length)
             self.memo = MissLog(self.memo)
+            built.append(self)
 
     monkeypatch.setattr(wdvv, "_Reconstructor", Spy)
     for wt in SMALL_SUITE + [(1, 1, 6), (1, 1, 1, 1, 1, 5)]:
         w = Weights(wt)
         misses.clear()
+        built.clear()
         reconstruct(w, 6)
-        read += len(misses)
-        assert not misses & reconstruct_reference(w, 6).coeffs.keys(), wt
+        missed = set(built[0].decode(misses))
+        assert len(missed) == len(misses), wt
+        read += len(missed)
+        assert not missed & reconstruct_reference(w, 6).coeffs.keys(), wt
     assert read
 
 

@@ -15,8 +15,8 @@ _HOME = {
     for module, names in {
         "combinatorics": "Sector SectorData Weights age fixed_indices inverse_sector k_min "
         "s_sequence sector_dim sector_table sectors spectrum",
-        "acohomology": "BasisClass CohClass cup_basis cup_table degree gram_matrix ordered_basis "
-        "pairing unit",
+        "acohomology": "BasisClass CohClass basis_position cup_basis cup_table degree gram_matrix "
+        "ordered_basis pairing unit",
         "errors": "InternalConsistencyError",
         "mirror": "CheckReport MirrorIndexMap check_classical check_quantum mirror_index_map",
         "selftest": "run_selftest",

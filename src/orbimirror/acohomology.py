@@ -20,11 +20,13 @@ the Chen-Ruan formula: with ``s_i = p0_i + p1_i``, the obstruction set is
 ``{s_i > D}``, the excess fixed locus ``I(g0 g1) - I(g0) & I(g1)`` is
 ``{s_i = D}``, and ``age(g0) + age(g1) - age(g0 g1) = #{s_i >= D}``.
 
-The rule is stated once, in the integer kernel :func:`_carry`, which finds
-the sector ``g0 g1`` by the integer ``D * gamma``.  :func:`cup_basis`
-applies it to one pair of classes; :func:`cup_table` applies it once per
-pair of sectors and holds the whole product by basis position, the form
-the CLI and the mirror checker read.
+Each bilinear form is stated once, as a table by basis position, where
+``eta_g^d`` sits at :func:`basis_position` ``k_min(g) + d``:
+:func:`gram_matrix` holds the pairing and :func:`cup_table` the cup
+product, which finds the sector ``g0 g1`` by the integer ``D * gamma``.
+The per-class :func:`pairing` and :func:`cup_basis` check their classes
+and read those tables.  The CLI, the mirror checkers and the self-test read
+the tables directly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 
 from .combinatorics import ZERO, SectorData, Weights, sector_table
 from .errors import InternalConsistencyError
@@ -78,10 +79,27 @@ def ordered_basis(w: Weights) -> tuple[BasisClass, ...]:
     return basis
 
 
-@lru_cache(maxsize=None)
-def basis_index(w: Weights) -> MappingProxyType:
-    """Read-only position of each basis class inside :func:`ordered_basis`."""
-    return MappingProxyType({bc: i for i, bc in enumerate(ordered_basis(w))})
+def basis_sector(w: Weights, c: BasisClass) -> SectorData:
+    """The sector record of the basis class ``c = eta_g^d``.
+
+    Raises ``ValueError`` unless ``g`` is a sector and ``d`` is an integer
+    with ``0 <= d <= dim(g)``.
+    """
+    s = sector_table(w).get(c.gamma)
+    if s is None or not isinstance(c.d, int) or not 0 <= c.d <= s.dim:
+        raise ValueError(f"eta_{c.gamma}^{c.d} is not a basis class of P{w.w}")
+    return s
+
+
+def basis_position(w: Weights, c: BasisClass) -> int:
+    """Position ``k_min(g) + d`` of ``c = eta_g^d`` inside
+    :func:`ordered_basis`.  Raises ``ValueError`` if ``c`` is not a basis
+    class.
+
+    >>> basis_position(Weights(1, 2), BasisClass(Fraction(1, 2), 0))
+    2
+    """
+    return basis_sector(w, c).k_min + c.d
 
 
 def degree(w: Weights, c: BasisClass) -> Fraction:
@@ -90,88 +108,31 @@ def degree(w: Weights, c: BasisClass) -> Fraction:
     return 2 * (c.d + basis_sector(w, c).age)
 
 
+@lru_cache(maxsize=None)
+def gram_matrix(w: Weights) -> tuple[tuple[Fraction, ...], ...]:
+    """The Poincare pairing by basis position (symmetric, nondegenerate).
+
+    ``eta_g^d``, at ``k_min(g) + d``, pairs with ``eta_{g^-1}^{dim(g) - d}``,
+    at ``k_min(g^-1) + dim(g) - d``, to ``prod(1 / w_i, i in I(g))``; every
+    other entry is :data:`~orbimirror.combinatorics.ZERO`.
+    """
+    table = sector_table(w)
+    rows = [[ZERO] * w.mu for _ in range(w.mu)]
+    for s in table.values():
+        top = table[s.inverse].k_min + s.dim
+        for d in range(s.dim + 1):
+            rows[s.k_min + d][top - d] = s.inv_weight_product
+    return tuple(map(tuple, rows))
+
+
 def pairing(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
-    """Poincare pairing of two basis classes.
+    """Poincare pairing of two basis classes, read off :func:`gram_matrix`.
 
     Nonzero only between mutually inverse sectors with ``d + d' = dim(g)``
     (so degrees sum to ``2n``), where it is ``prod(1 / w_i, i in I(g))``.
     Raises ``ValueError`` if ``a`` or ``b`` is not a basis class.
     """
-    sector = basis_sector(w, a)
-    basis_sector(w, b)
-    if b.gamma != sector.inverse or a.d + b.d != sector.dim:
-        return ZERO
-    return sector.inv_weight_product
-
-
-@lru_cache(maxsize=None)
-def gram_matrix(w: Weights) -> tuple[tuple[Fraction, ...], ...]:
-    """Pairing matrix over the ordered basis (symmetric, nondegenerate)."""
-    basis = ordered_basis(w)
-    return tuple(tuple(pairing(w, a, b) for b in basis) for a in basis)
-
-
-def basis_sector(w: Weights, c: BasisClass) -> SectorData:
-    """The sector record of the basis class ``c = eta_g^d``.
-
-    Raises ``ValueError`` unless ``g`` is a sector and ``0 <= d <= dim(g)``.
-    """
-    s = sector_table(w).get(c.gamma)
-    if s is None or not 0 <= c.d <= s.dim:
-        raise ValueError(f"eta_{c.gamma}^{c.d} is not a basis class of P{w.w}")
-    return s
-
-
-@lru_cache(maxsize=None)
-def _sector_at(w: Weights) -> dict[int, SectorData]:
-    """Each sector record keyed by the integer ``D * gamma``."""
-    lcm = w.lcm
-    return {
-        s.gamma.numerator * (lcm // s.gamma.denominator): s
-        for s in sector_table(w).values()
-    }
-
-
-def _carry(w: Weights, s0: SectorData, s1: SectorData):
-    """The carry rule on two sector records: ``(prod(w_i for i in K), record
-    of g0 g1, |K|)`` with ``K = {i : p0_i + p1_i >= D}``, or ``None`` when
-    ``g0 g1`` is not a sector."""
-    lcm = w.lcm
-    g0, g1 = s0.gamma, s1.gamma
-    step = g0.numerator * (lcm // g0.denominator) + g1.numerator * (lcm // g1.denominator)
-    # g0 g1 is a sector exactly when some coordinate is fixed by it.
-    s = _sector_at(w).get(step % lcm)
-    if s is None:
-        return None
-    coeff, size = 1, 0
-    for wi, p0, p1 in zip(w.w, s0.parts, s1.parts):
-        if p0 + p1 >= lcm:
-            coeff *= wi
-            size += 1
-    return coeff, s, size
-
-
-def cup_basis(
-    w: Weights, a: BasisClass, b: BasisClass
-) -> tuple[int, BasisClass | None]:
-    """Cup product of two basis classes: ``(coefficient, target)``.
-
-    By the carry rule: ``prod(w_i for i in K) * eta_g^{d0 + d1 + |K|}`` on
-    ``g = (g0 + g1) % 1``, ``K = {i : p0_i + p1_i >= D}``.  Returns
-    ``(0, None)`` when ``g`` is not a sector or the exponent exceeds its
-    dimension.  Raises ``ValueError`` if ``a`` or ``b`` is not a basis class.
-
-    >>> w = Weights(1, 2, 2, 3, 3, 3)
-    >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
-    (4, BasisClass(gamma=Fraction(2, 3), d=2))
-    """
-    hit = _carry(w, basis_sector(w, a), basis_sector(w, b))
-    if hit is not None:
-        coeff, s, size = hit
-        d = a.d + b.d + size
-        if d <= s.dim:
-            return coeff, BasisClass(s.gamma, d)
-    return 0, None
+    return gram_matrix(w)[basis_position(w, a)][basis_position(w, b)]
 
 
 @lru_cache(maxsize=None)
@@ -180,18 +141,33 @@ def cup_table(w: Weights) -> tuple[tuple[tuple[int, int | None], ...], ...]:
     ``(coefficient, target position)`` for the classes at positions ``p``
     and ``q`` of :func:`ordered_basis`, with ``(0, None)`` for zero.
 
-    The position of ``eta_g^d`` is ``k_min(g) + d``: the basis and the
-    s-sequence both list the sectors in ascending order, each ``|I(g)|``
-    times.  The table is made of tuples only, so the cache cannot change.
+    The carry rule is applied once per pair of sectors.  The sector
+    ``g0 g1`` is found by the integer ``D * gamma``, and the position of
+    ``eta_g^d`` is ``k_min(g) + d``: the basis and the s-sequence both list
+    the sectors in ascending order, each ``|I(g)|`` times.  The table is
+    made of tuples only, so the cache cannot change.
 
     >>> cup_table(Weights(1, 2))
     (((1, 0), (1, 1), (1, 2)), ((1, 1), (0, None), (0, None)), ((1, 2), (0, None), (1, 1)))
     """
-    records = tuple(sector_table(w).values())
+    lcm = w.lcm
+    at = {(lcm * s.gamma).numerator: s for s in sector_table(w).values()}
     zero = (0, None)
     rows = []
-    for s0 in records:
-        hits = [(s1.dim + 1, _carry(w, s0, s1)) for s1 in records]
+    for step0, s0 in at.items():
+        hits = []
+        for step1, s1 in at.items():
+            # g0 g1 is a sector exactly when some coordinate is fixed by it.
+            s = at.get((step0 + step1) % lcm)
+            if s is None:
+                hits.append((s1.dim + 1, None))
+                continue
+            coeff, size = 1, 0
+            for wi, p0, p1 in zip(w.w, s0.parts, s1.parts):
+                if p0 + p1 >= lcm:
+                    coeff *= wi
+                    size += 1
+            hits.append((s1.dim + 1, (coeff, s, size)))
         for d0 in range(s0.dim + 1):
             row = []
             for width, hit in hits:
@@ -203,6 +179,25 @@ def cup_table(w: Weights) -> tuple[tuple[tuple[int, int | None], ...], ...]:
                     row.append((coeff, s.k_min + d) if d <= s.dim else zero)
             rows.append(tuple(row))
     return tuple(rows)
+
+
+def cup_basis(
+    w: Weights, a: BasisClass, b: BasisClass
+) -> tuple[int, BasisClass | None]:
+    """Cup product of two basis classes: ``(coefficient, target)``, read off
+    :func:`cup_table`.
+
+    By the carry rule: ``prod(w_i for i in K) * eta_g^{d0 + d1 + |K|}`` on
+    ``g = (g0 + g1) % 1``, ``K = {i : p0_i + p1_i >= D}``.  Returns
+    ``(0, None)`` when ``g`` is not a sector or the exponent exceeds its
+    dimension.  Raises ``ValueError`` if ``a`` or ``b`` is not a basis class.
+
+    >>> w = Weights(1, 2, 2, 3, 3, 3)
+    >>> cup_basis(w, BasisClass(Fraction(1, 3), 0), BasisClass(Fraction(1, 3), 0))
+    (4, BasisClass(gamma=Fraction(2, 3), d=2))
+    """
+    coeff, target = cup_table(w)[basis_position(w, a)][basis_position(w, b)]
+    return coeff, None if target is None else ordered_basis(w)[target]
 
 
 def unit(w: Weights) -> CohClass:

@@ -41,7 +41,7 @@ from .combinatorics import (
 from .acohomology import (
     BasisClass,
     CohClass,
-    basis_index,
+    basis_position,
     basis_sector,
     cup_basis,
     ordered_basis,
@@ -110,9 +110,8 @@ def a0_matrix(w: Weights) -> Matrix:
 
     Columns are indexed by the source basis element.
     """
-    index = basis_index(w)
     m = zeros(w.mu)
     for col, bc in enumerate(ordered_basis(w)):
         image = hyperplane_quantum_mult(w, CohClass.line(bc))
-        m[index[image.bc]][col] = w.mu * image.scalar
+        m[basis_position(w, image.bc)][col] = w.mu * image.scalar
     return m

@@ -56,8 +56,8 @@ def omega_frame(w: Weights) -> tuple[tuple[int, ...], ...]:
         cur[idx[k]] += 1
         nxt = tuple(cur)
         a.append(nxt)
-        best = min(Fraction(nxt[j], w[j]) for j in range(len(w)))
-        idx.append(next(j for j in range(len(w)) if Fraction(nxt[j], w[j]) == best))
+        # The first coordinate with the least nxt[j] / w[j].
+        idx.append(min(range(len(w)), key=lambda j: Fraction(nxt[j], w[j])))
     return tuple(a)
 
 

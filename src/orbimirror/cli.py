@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _decimal(text: str) -> int:
+    """``text``, stripped, as an integer written in the ASCII digits 0-9
+    alone: ``int`` also takes ``1_0`` and non-ASCII digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not written in the digits 0-9")
+    return int(text)
+
+
 def _parse_weights(text: str) -> Weights:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -50,9 +59,9 @@ def _parse_weights(text: str) -> Weights:
     values = []
     for p in parts:
         try:
-            v = int(p)
-        except ValueError:
-            raise UsageError(f"weight {p!r} is not an integer") from None
+            v = _decimal(p)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"weight {exc}") from None
         if v < 1 or v > MAX_WEIGHT:
             raise UsageError(f"weight {v} outside 1..{MAX_WEIGHT}")
         values.append(v)
@@ -76,7 +85,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--unsafe-large", action="store_true", help="lift the mu and depth caps")
         if name == "reconstruct":
-            p.add_argument("--max-length", type=int, default=6)
+            p.add_argument("--max-length", type=_decimal, default=6)
     cfg = parser.parse_args(argv)
     cfg.weights = _parse_weights(cfg.weights)
     if cfg.command == "reconstruct":

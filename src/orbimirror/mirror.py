@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import aquantum, bside
 from .acohomology import (
     BasisClass,
-    basis_index,
+    basis_position,
     cup_table,
     degree,
     gram_matrix,
@@ -135,8 +135,7 @@ def _at_b_indices(w: Weights, xi: MirrorIndexMap, *tables) -> list:
     ``[j][k]`` is ``X[order[j]][order[k]]``, where ``order[k]`` is the basis
     position of ``xi.inverse[k]``.  This is ``P^T X P`` for the permutation
     matrix ``P`` of the index map."""
-    index = basis_index(w)
-    order = [index[xi.inverse[k]] for k in range(w.mu)]
+    order = [basis_position(w, xi.inverse[k]) for k in range(w.mu)]
     return [[[x[p][q] for q in order] for p in order] for x in tables]
 
 

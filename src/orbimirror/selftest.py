@@ -9,8 +9,9 @@ checked for every element (or pair, or triple), not sampled.
 
 The ring laws (commutativity, associativity and Frobenius symmetry
 ``g(ab, c) = g(a, bc)``) are stated once, in :func:`_check_ring`, over a
-table of ``(coefficient, target position)`` pairs; the cup and the B
-product each build their table and call it.
+table of ``(coefficient, target position)`` pairs: the cup product's own
+:func:`~orbimirror.acohomology.cup_table`, and a table the B product
+builds.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from . import aquantum, bside
 from .acohomology import (
     BasisClass,
     CohClass,
-    basis_index,
-    cup_basis,
+    cup_table,
     degree,
     gram_matrix,
     ordered_basis,
@@ -113,34 +113,28 @@ def _check_ring(report: CheckReport, prods, metric, labels, names) -> None:
 
 def _check_cup_ring(w: Weights, report: CheckReport) -> None:
     basis = ordered_basis(w)
-    index = basis_index(w)
     labels = [basis_label(bc) for bc in basis]
-    cups = [[cup_basis(w, a, b) for b in basis] for a in basis]
-    one = index[BasisClass(Fraction(0), 0)]
-    for p, a in enumerate(basis):
+    degrees = [degree(w, bc) for bc in basis]
+    cups = cup_table(w)
+    # The unit eta_1^0 sits at position 0.
+    for p, label in enumerate(labels):
         report.expect(
-            cups[one][p] == (1, a) and cups[p][one] == (1, a),
+            cups[0][p] == (1, p) and cups[p][0] == (1, p),
             check="cup_unit",
-            cls=labels[p],
+            cls=label,
         )
-    # Each product as (coeff, target position), with (0, None) for zero.
-    prods = [
-        [(0, None) if t is None or not c else (c, index[t]) for c, t in row]
-        for row in cups
-    ]
     _check_ring(
         report,
-        prods,
+        cups,
         gram_matrix(w),
         labels,
         ("cup_commutative", "cup_associative", "cup_frobenius"),
     )
-    for p, a in enumerate(basis):
-        for q, b in enumerate(basis):
-            target = cups[p][q][1]
+    for p, row in enumerate(cups):
+        for q, (_, target) in enumerate(row):
             if target is not None:
                 report.expect(
-                    degree(w, target) == degree(w, a) + degree(w, b),
+                    degrees[target] == degrees[p] + degrees[q],
                     check="cup_degree_additive",
                     pair=(labels[p], labels[q]),
                 )

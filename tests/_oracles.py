@@ -7,7 +7,8 @@ the falling-factorial ratio below is an alternative route to the sector
 structure constants, the cup product is the Chen-Ruan formula with its
 obstruction set, stated over those ``Fraction`` definitions, and again as
 the per-pair carry rule over the sector table's integer parts with the
-target found by ``Fraction`` addition, the B product is the weight power of
+target found by ``Fraction`` addition, the Poincare pairing is the per-pair
+rule over the same ``Fraction`` definitions, the B product is the weight power of
 an exponent vector summed from five frame rows, the degree-one
 3-point numbers are sorted into vanishing, classical and quantum cases by
 an integer congruence mod ``mu``, the WDVV residual is summed term by term
@@ -158,6 +159,19 @@ def cup_basis_carry(w: Weights, a: BasisClass, b: BasisClass):
     if d > s.dim:
         return 0, None
     return math.prod(w[i] for i in carry), BasisClass(g, d)
+
+
+def pairing_reference(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
+    """The Poincare pairing pair by pair: ``prod(1 / w_i, i in I(g))`` when
+    ``b`` is on the inverse sector ``frac(-g)`` of ``a = eta_g^d`` and the
+    powers sum to ``dim(g)``, else 0.  Raises ``ValueError`` if ``a`` or
+    ``b`` is not a basis class."""
+    _basis_record(w, a)
+    _basis_record(w, b)
+    g = a.gamma
+    if b.gamma != frac(-g) or a.d + b.d != sector_dim(w, g):
+        return Fraction(0)
+    return Fraction(1, math.prod(w[i] for i in fixed_indices(w, g)))
 
 
 def b_product_exponents(w: Weights, i: int, j: int):

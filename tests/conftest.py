@@ -49,6 +49,22 @@ CENSUS = [
 ]
 
 
+def weight_vectors(st, max_mu):
+    """A hypothesis strategy for weight vectors with ``2 <= mu <= max_mu``,
+    given the ``hypothesis.strategies`` module ``st``."""
+
+    @st.composite
+    def draw_weights(draw):
+        # A composition of mu, one weight at a time.
+        mu = draw(st.integers(2, max_mu))
+        ws = []
+        while sum(ws) < mu:
+            ws.append(draw(st.integers(1, mu - sum(ws))))
+        return Weights(ws)
+
+    return draw_weights()
+
+
 @pytest.fixture(params=SUITE, ids=lambda t: "w" + "_".join(map(str, t)))
 def suite_weights(request) -> Weights:
     return Weights(request.param)

@@ -17,7 +17,6 @@ from orbimirror import (
     pairing,
     unit,
 )
-from orbimirror.acohomology import basis_index
 from orbimirror.linalg import det
 
 
@@ -40,16 +39,6 @@ def test_ordered_basis_examples():
         F(1, 2): [0, 1],
         F(2, 3): [0, 1, 2],
     }
-
-
-def test_basis_index_is_read_only():
-    w = Weights(1, 2)
-    before = dict(basis_index(w))
-    with pytest.raises(TypeError):
-        basis_index(w)[bc(0, 0)] = 5
-    with pytest.raises(TypeError):
-        del basis_index(w)[bc(0, 0)]
-    assert dict(basis_index(w)) == before == {bc(0, 0): 0, bc(0, 1): 1, bc((1, 2), 0): 2}
 
 
 def test_degree_examples():
@@ -159,8 +148,6 @@ def test_cup_degree_additive(suite_weights):
 def test_cup_associative_and_frobenius(suite_weights):
     w = suite_weights
     basis = ordered_basis(w)
-    index = basis_index(w)
-    gram = gram_matrix(w)
     table = {(a, b): cup_basis(w, a, b) for a in basis for b in basis}
 
     def times(coeff, a, b):
@@ -172,7 +159,7 @@ def test_cup_associative_and_frobenius(suite_weights):
 
     def pair(x, c):
         coeff, target = x
-        return 0 if target is None else coeff * gram[index[target]][index[c]]
+        return 0 if target is None else coeff * pairing(w, target, c)
 
     for a in basis:
         for b in basis:

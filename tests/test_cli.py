@@ -64,6 +64,11 @@ BAD_INVOCATIONS = {
     "unknown_command": ["frobnicate", "--weights", "1,2"],
     "missing_weights": ["cup"],
     "non_integer_max_length": ["reconstruct", "--weights", "1,2", "--max-length", "x"],
+    # ``int`` would read these as 10 and 1: only the ASCII digits 0-9 count.
+    "underscore_weight": ["basis", "--weights", "1_0,2"],
+    "non_ascii_weight": ["basis", "--weights", "\u0661,2"],
+    "underscore_max_length": ["reconstruct", "--weights", "1,2", "--max-length", "1_0"],
+    "non_ascii_max_length": ["reconstruct", "--weights", "1,2", "--max-length", "\u0667"],
 }
 
 

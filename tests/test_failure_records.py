@@ -15,7 +15,22 @@ import pytest
 
 from orbimirror import BasisClass, Weights, acohomology, aquantum, bside
 from orbimirror import check_classical, check_quantum
-from orbimirror import cli, mirror, run_selftest, sector_table, selftest
+from orbimirror import cli, mirror, ordered_basis, run_selftest, sector_table, selftest
+
+
+def _cup_table_through(fault):
+    """A ``cup_table`` with ``fault(w, a, b, coeff, target)`` applied to the
+    real entry of each pair of classes ``a, b`` of the ordered basis."""
+    cup_table = acohomology.cup_table
+
+    def faulty(w):
+        basis = ordered_basis(w)
+        return tuple(
+            tuple(fault(w, a, b, *entry) for b, entry in zip(basis, row))
+            for a, row in zip(basis, cup_table(w))
+        )
+
+    return faulty
 
 
 def _by_check(report) -> dict:
@@ -211,15 +226,12 @@ POWER_MU = [("check", "hyperplane_power_mu"), ("detail", "(eta_1^1)^mu != Q * pr
     ids=["extra_index", "extra_index_one_order"],
 )
 def test_selftest_failure_records(monkeypatch, asymmetric, expected):
-    # One extra obstruction index on the last coordinate, at both cup product
-    # routes selftest reaches (its ring checks and the hyperplane action):
-    # each nonzero product where that coordinate does not carry gains a
-    # factor w[-1].  With ``asymmetric`` only for ``g0 < g1``, which also
-    # breaks commutativity.
-    cup_basis = acohomology.cup_basis
-
-    def with_extra_index(w, a, b):
-        coeff, target = cup_basis(w, a, b)
+    # One extra obstruction index on the last coordinate, in the cup table
+    # that selftest reads for its ring checks and, through ``cup_basis``, for
+    # the hyperplane action: each nonzero product where that coordinate does
+    # not carry gains a factor w[-1].  With ``asymmetric`` only for
+    # ``g0 < g1``, which also breaks commutativity.
+    def with_extra_index(w, a, b, coeff, target):
         table = sector_table(w)
         last = len(w) - 1
         part = table[a.gamma].parts[last] + table[b.gamma].parts[last]
@@ -228,8 +240,9 @@ def test_selftest_failure_records(monkeypatch, asymmetric, expected):
             coeff *= w[last]
         return coeff, target
 
-    monkeypatch.setattr(selftest, "cup_basis", with_extra_index)
-    monkeypatch.setattr(aquantum, "cup_basis", with_extra_index)
+    faulty = _cup_table_through(with_extra_index)
+    monkeypatch.setattr(selftest, "cup_table", faulty)
+    monkeypatch.setattr(acohomology, "cup_table", faulty)
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == expected
@@ -238,15 +251,12 @@ def test_selftest_failure_records(monkeypatch, asymmetric, expected):
 def test_selftest_non_integral_cup_records(monkeypatch):
     # The ring laws read the cup coefficients as ints; one that is not an
     # integer (here + 1/2 for g0 < g1) must fail them, not be truncated.
-    cup_basis = acohomology.cup_basis
-
-    def plus_half(w, a, b):
-        coeff, target = cup_basis(w, a, b)
+    def plus_half(w, a, b, coeff, target):
         if target is not None and a.gamma < b.gamma:
             coeff += Fraction(1, 2)
         return coeff, target
 
-    monkeypatch.setattr(selftest, "cup_basis", plus_half)
+    monkeypatch.setattr(selftest, "cup_table", _cup_table_through(plus_half))
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == {
@@ -360,15 +370,16 @@ def _selftest_fails_without_raising(capsys, wt) -> None:
 def test_selftest_singular_pairing_records(monkeypatch, capsys):
     # The pairing loses the unit's partner: the Gram matrix is singular, so
     # both the grading adjoint and nondegeneracy fail, and so does Frobenius
-    # symmetry wherever it reads that entry.
-    pairing = acohomology.pairing
-    unit, top = BasisClass(Fraction(0), 0), BasisClass(Fraction(0), 2)
+    # symmetry wherever it reads that entry.  On P(2, 3, 4) the unit sits at
+    # position 0 and its partner eta_1^2 at position 2.
+    gram_matrix = acohomology.gram_matrix
 
-    def without_unit_partner(w, a, b):
-        return Fraction(0) if (a, b) == (unit, top) else pairing(w, a, b)
+    def without_unit_partner(w):
+        rows = [list(row) for row in gram_matrix(w)]
+        rows[0][2] = Fraction(0)
+        return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(acohomology, "pairing", without_unit_partner)
-    monkeypatch.setattr(selftest, "gram_matrix", acohomology.gram_matrix.__wrapped__)
+    monkeypatch.setattr(selftest, "gram_matrix", without_unit_partner)
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == {

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import CENSUS
+from conftest import CENSUS, weight_vectors
 from orbimirror import (
     BasisClass,
     Weights,
+    basis_position,
     check_classical,
     check_quantum,
     degree,
@@ -69,6 +70,27 @@ def test_census_checkers_pass(mu):
             w = Weights(wt)
             for report in (check_classical(w), check_quantum(w), run_selftest(w)):
                 assert report.passed, (wt, report.name, report.failures[:3])
+
+
+def test_random_weight_vectors_to_mu_20():
+    # Both mirror checks, the invariant suite and the basis positions on
+    # random vectors past the census, up to mu = 20.
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(
+        max_examples=30, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(weight_vectors(hypothesis.strategies, 20))
+    def check(w):
+        reports = [check_classical(w), run_selftest(w)]
+        if w.n >= 1:
+            reports.append(check_quantum(w))
+        for report in reports:
+            assert report.passed, (w, report.name, report.failures[:3])
+        positions = [basis_position(w, bc) for bc in ordered_basis(w)]
+        assert positions == list(range(w.mu)), w
+
+    check()
 
 
 def test_euler_field_coefficients_transport(suite_weights):

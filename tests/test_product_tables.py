@@ -1,6 +1,7 @@
-"""The integer product layers against their per-pair oracles.
+"""The position tables of the two sides against their per-pair oracles.
 
-``cup_table`` and ``cup_basis`` share one integer carry kernel, and
+``cup_table`` and ``gram_matrix`` state the cup product and the pairing by
+basis position, ``cup_basis`` and ``pairing`` read them, and
 ``bside.product`` reads per-index integers; each must equal the per-pair
 ``Fraction`` form it replaced (``tests/_oracles.py``) on every census vector
 and on the two top rungs of the benchmark's rank ladder.
@@ -12,10 +13,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from _oracles import b_product_exponents, cup_basis_carry
+from _oracles import b_product_exponents, cup_basis_carry, pairing_reference
 from conftest import CENSUS
-from orbimirror import BasisClass, Weights, bside, cup_basis, cup_table, ordered_basis
-from orbimirror.acohomology import basis_index
+from orbimirror import (
+    BasisClass,
+    Weights,
+    bside,
+    cup_basis,
+    cup_table,
+    gram_matrix,
+    ordered_basis,
+    pairing,
+)
+from orbimirror.combinatorics import ZERO
 
 RUNGS = [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16)]
 VECTORS = pytest.mark.parametrize(
@@ -30,7 +40,7 @@ def test_cup_basis_and_table_match_carry_oracle(wts):
     for wt in wts:
         w = Weights(wt)
         basis = ordered_basis(w)
-        index = basis_index(w)
+        index = {bc: p for p, bc in enumerate(basis)}
         table = cup_table(w)
         for p, a in enumerate(basis):
             for q, b in enumerate(basis):
@@ -38,6 +48,20 @@ def test_cup_basis_and_table_match_carry_oracle(wts):
                 assert cup_basis(w, a, b) == (coeff, target), (wt, a, b)
                 position = None if target is None else index[target]
                 assert table[p][q] == (coeff, position), (wt, a, b)
+
+
+@VECTORS
+def test_gram_matrix_and_pairing_match_pairing_oracle(wts):
+    for wt in wts:
+        w = Weights(wt)
+        basis = ordered_basis(w)
+        gram = gram_matrix(w)
+        for p, a in enumerate(basis):
+            for q, b in enumerate(basis):
+                value = pairing_reference(w, a, b)
+                assert pairing(w, a, b) == gram[p][q] == value, (wt, a, b)
+                # Zero entries are the one shared ZERO.
+                assert value or gram[p][q] is ZERO, (wt, a, b)
 
 
 @VECTORS

@@ -14,7 +14,7 @@ from _oracles import (
     reconstruct_reference,
     wdvv_residual_reference,
 )
-from conftest import CENSUS, SUITE
+from conftest import CENSUS, SUITE, weight_vectors
 from orbimirror import (
     InternalConsistencyError,
     Potential,
@@ -65,19 +65,6 @@ def _reference_keys(w, lengths, rule):
         for tail in reversed(list(compositions(length, w.mu - 2)))
         if rule((0, 0) + tail)
     ]
-
-
-def _weight_vectors(st, max_mu):
-    @st.composite
-    def draw_weights(draw):
-        # A composition of mu, one weight at a time.
-        mu = draw(st.integers(2, max_mu))
-        ws = []
-        while sum(ws) < mu:
-            ws.append(draw(st.integers(1, mu - sum(ws))))
-        return Weights(ws)
-
-    return draw_weights()
 
 
 def _nonzero_residuals(p, max_alpha, residual=None):
@@ -337,7 +324,7 @@ def test_admissible_keys_random_weight_vectors():
     @hypothesis.settings(
         max_examples=30, deadline=None, derandomize=True, database=None
     )
-    @hypothesis.given(_weight_vectors(hypothesis.strategies, 8))
+    @hypothesis.given(weight_vectors(hypothesis.strategies, 8))
     def check(w):
         # Against the rule stated from the spectrum, not the integer table.
         expected = _reference_keys(
@@ -571,7 +558,7 @@ def test_random_weight_vectors():
     @hypothesis.settings(
         max_examples=25, deadline=None, derandomize=True, database=None
     )
-    @hypothesis.given(_weight_vectors(hypothesis.strategies, 6))
+    @hypothesis.given(weight_vectors(hypothesis.strategies, 6))
     def check(w):
         p = reconstruct(w, 5)
         # Both routes agree on every residual at |alpha| <= 1: none is nonzero.

@@ -19,10 +19,11 @@ gives the two power relations tested in the suite:
 
 with ``s(g) = prod_i w_i^{-ceil(gamma(g) w_i)}``.
 
-The degree-one 3-point numbers are the pairing of the hyperplane action:
-``((eta_1^1, a, b)) = g(eta_1^1 * a, b)`` at ``Q = 1``; :func:`three_point`
-reads them off :func:`hyperplane_quantum_mult`.  Both raise ``ValueError``
-on a class outside the basis.
+The action is stated once, by basis position, in :func:`hyperplane_table`,
+which the other functions read.  The degree-one 3-point numbers are its
+pairing, ``((eta_1^1, a, b)) = g(eta_1^1 * a, b)`` at ``Q = 1``:
+:func:`three_point` reads the table and the Gram matrix, with no
+``CohClass``.  A class outside the basis is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,27 +31,51 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .combinatorics import (
-    Sector,
-    Weights,
-    inverse_sector,
-    sector_table,
-    sectors,
-)
+from .combinatorics import ZERO, Sector, Weights, sector_table, sectors
 from .acohomology import (
     BasisClass,
     CohClass,
     basis_position,
-    basis_sector,
-    cup_basis,
+    cup_table,
+    gram_matrix,
     ordered_basis,
-    pairing,
 )
-from .linalg import Matrix, zeros
 
 
-_HYPERPLANE = BasisClass(Fraction(0), 1)
+@lru_cache(maxsize=None)
+def hyperplane_table(w: Weights) -> tuple[tuple[Fraction, Fraction, int], ...]:
+    """The hyperplane action by basis position: entry ``p`` is ``(scalar,
+    qexp, target position)`` for ``eta_1^1 * b_p = scalar * Q^qexp *
+    b_target`` at the origin, where ``b_p`` is ``ordered_basis(w)[p]``.
+
+    Below a sector's top power the entry is row 1 of the cup table (the
+    hyperplane class sits at position 1); on the top power it is the jump
+    of the module docstring.  It is made of tuples only, so the cache
+    cannot change.
+
+    >>> hyperplane_table(Weights(1, 2))
+    ((Fraction(1, 1), Fraction(0, 1), 1), (Fraction(1, 2), Fraction(1, 2), 2), (Fraction(1, 2), Fraction(1, 2), 0))
+    """
+    table = sector_table(w)
+    secs = sectors(w)
+    # Only for n >= 1 is eta_1^1 a basis class, and only then is there a
+    # power below a sector's top one.
+    shift = cup_table(w)[1] if w.n else ()
+    rows = []
+    for s in table.values():
+        for _ in range(s.dim):
+            coeff, target = shift[len(rows)]
+            rows.append((Fraction(coeff), ZERO, target))
+        prev = s.inverse
+        # The sector after ``prev`` in the circle order; past the last one
+        # the rotation number wraps through 1 back to the identity.
+        after = bisect.bisect_right(secs, prev)
+        nxt = secs[after] if after < len(secs) else Fraction(1)
+        target = table[table[nxt % 1].inverse].k_min
+        rows.append((table[prev].inv_weight_product, nxt - prev, target))
+    return tuple(rows)
 
 
 def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
@@ -62,8 +87,9 @@ def three_point(w: Weights, g: Sector, d: int, g2: Sector, d2: int) -> Fraction:
     >>> three_point(Weights(1, 2), Fraction(0), 1, Fraction(1, 2), 0)
     Fraction(1, 4)
     """
-    image = hyperplane_quantum_mult(w, CohClass.line(BasisClass(g, d)))
-    return image.scalar * pairing(w, image.bc, BasisClass(g2, d2))
+    scalar, _, target = hyperplane_table(w)[basis_position(w, BasisClass(g, d))]
+    entry = gram_matrix(w)[target][basis_position(w, BasisClass(g2, d2))]
+    return scalar * entry if entry else ZERO
 
 
 def sector_constant(w: Weights, g: Sector) -> Fraction:
@@ -80,38 +106,17 @@ def sector_constant(w: Weights, g: Sector) -> Fraction:
 
 
 def hyperplane_quantum_mult(w: Weights, c: CohClass) -> CohClass:
-    """Small quantum multiplication of a monomial by ``eta_1^1`` at the origin.
-
-    Below a sector's top power this is the classical cup shift; on the top
-    power it jumps to the next sector with the ``Q`` monomial described in
-    the module docstring.  Raises ``ValueError`` if ``c.bc`` is not a basis
-    class.
-    """
-    table = sector_table(w)
-    sector = basis_sector(w, c.bc)
-    if c.bc.d < sector.dim:
-        coeff, target = cup_basis(w, _HYPERPLANE, c.bc)
-        return CohClass(target, c.scalar * coeff, c.qexp)
-    prev = sector.inverse
-    secs = sectors(w)
-    # The sector after ``prev`` in the circle order; past the last one the
-    # rotation number wraps through 1 back to the identity.
-    after = bisect.bisect_right(secs, prev)
-    nxt = secs[after] if after < len(secs) else Fraction(1)
-    return CohClass(
-        BasisClass(inverse_sector(nxt), 0),
-        c.scalar * table[prev].inv_weight_product,
-        c.qexp + nxt - prev,
-    )
+    """Small quantum multiplication of a monomial by ``eta_1^1`` at the
+    origin: one entry of :func:`hyperplane_table`."""
+    scalar, qexp, target = hyperplane_table(w)[basis_position(w, c.bc)]
+    return CohClass(ordered_basis(w)[target], c.scalar * scalar, c.qexp + qexp)
 
 
-def a0_matrix(w: Weights) -> Matrix:
-    """Matrix of ``mu * (eta_1^1 *)`` over the ordered basis at ``Q = 1``.
-
-    Columns are indexed by the source basis element.
-    """
-    m = zeros(w.mu)
-    for col, bc in enumerate(ordered_basis(w)):
-        image = hyperplane_quantum_mult(w, CohClass.line(bc))
-        m[basis_position(w, image.bc)][col] = w.mu * image.scalar
+def a0_matrix(w: Weights) -> list[list[Fraction]]:
+    """Matrix of ``mu * (eta_1^1 *)`` over the ordered basis at ``Q = 1``, as
+    fresh rows; columns are indexed by the source basis element."""
+    mu = w.mu
+    m = [[ZERO] * mu for _ in range(mu)]
+    for col, (scalar, _, target) in enumerate(hyperplane_table(w)):
+        m[target][col] = mu * scalar
     return m

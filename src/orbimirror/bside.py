@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import ZERO, SectorData, Weights, s_sequence, sector_table, spectrum
-from .linalg import Matrix, zeros
 
 
 @lru_cache(maxsize=None)
@@ -135,15 +134,16 @@ def three_tensor(w: Weights, j: int, k: int) -> Fraction:
     return entry[j] * entry[k]
 
 
-def a0_matrix(w: Weights) -> Matrix:
-    """Euler multiplication matrix: a weighted cyclic shift.
+def a0_matrix(w: Weights) -> list[list[Fraction]]:
+    """Euler multiplication matrix, a fresh list of rows: a weighted cyclic
+    shift.
 
     Entry ``((j+1) mod mu, j)`` is ``mu`` inside a block of equal s-values
     and ``mu * prod(1/w_i, i in I(s(j)))`` across a block boundary.
     """
     mu = w.mu
     secs = _index_sectors(w)
-    m = zeros(mu)
+    m = [[ZERO] * mu for _ in range(mu)]
     for j in range(mu):
         row = (j + 1) % mu
         if secs[row].gamma == secs[j].gamma:

@@ -53,9 +53,9 @@ def _decimal(text: str) -> int:
 
 
 def _parse_weights(text: str) -> Weights:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError("empty weight list")
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise UsageError(f"empty weight in {text!r}")
     values = []
     for p in parts:
         try:
@@ -205,15 +205,11 @@ def _smallqc(cfg: argparse.Namespace):
     from . import acohomology, aquantum
 
     w = cfg.weights
-    products = []
-    for bc in acohomology.ordered_basis(w):
-        image = aquantum.hyperplane_quantum_mult(w, acohomology.CohClass.line(bc))
-        products.append({
-            "src": _elem(bc),
-            "c": _r(image.scalar),
-            "q": _r(image.qexp),
-            "dst": _elem(image.bc),
-        })
+    elems = [_elem(bc) for bc in acohomology.ordered_basis(w)]
+    products = [
+        {"src": src, "c": _r(scalar), "q": _r(qexp), "dst": elems[target]}
+        for src, (scalar, qexp, target) in zip(elems, aquantum.hyperplane_table(w))
+    ]
     header = ("src_gamma", "src_d", "c", "q", "dst_gamma", "dst_d")
     payload = {
         "mu": w.mu,

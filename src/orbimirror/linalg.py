@@ -8,15 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combinatorics import ZERO
 from .errors import InternalConsistencyError
 
 Matrix = list[list[Fraction]]
-
-
-def zeros(n: int) -> Matrix:
-    """The ``n x n`` zero matrix, every entry the shared :data:`ZERO`."""
-    return [[ZERO] * n for _ in range(n)]
 
 
 def char_poly(a: Matrix) -> list[Fraction]:

@@ -15,11 +15,12 @@ PASS or the list of counterexamples in basis order.  They are regression
 instruments: a failure carries the offending pair, both exact values and
 the mapped indices.
 
-They read tables by position, not classes by hash: the cup product from
-:func:`~orbimirror.acohomology.cup_table`, its target positions moved to B
-indices through one list, and the spectrum as integers scaled by
-``D = lcm(w)``.  Zero entries are the one shared
-:data:`~orbimirror.combinatorics.ZERO`, which
+They read tables by position, not classes by hash: the Gram matrix, the
+cup table, :func:`~orbimirror.aquantum.hyperplane_table` (the 3-point
+numbers too) and the spectrum as integers scaled by ``D = lcm(w)``.  Each
+pair compares an A table at basis positions ``(p, q)`` with a B table at
+``(ia, ib)``, so no ``P^T X P`` copy is made.  Zero entries are the one
+shared :data:`~orbimirror.combinatorics.ZERO`, which
 :meth:`CheckReport.compare` passes by identity.
 """
 
@@ -31,7 +32,6 @@ from fractions import Fraction
 from . import aquantum, bside
 from .acohomology import (
     BasisClass,
-    basis_position,
     cup_table,
     degree,
     gram_matrix,
@@ -130,13 +130,12 @@ def _basis_pairs(w: Weights, xi: MirrorIndexMap) -> list:
     ]
 
 
-def _at_b_indices(w: Weights, xi: MirrorIndexMap, *tables) -> list:
-    """Each A-side table over the ordered basis moved to B indices: entry
-    ``[j][k]`` is ``X[order[j]][order[k]]``, where ``order[k]`` is the basis
-    position of ``xi.inverse[k]``.  This is ``P^T X P`` for the permutation
-    matrix ``P`` of the index map."""
-    order = [basis_position(w, xi.inverse[k]) for k in range(w.mu)]
-    return [[[x[p][q] for q in order] for p in order] for x in tables]
+def _transports(a_table, b_table, pairs) -> bool:
+    """Whether ``a_table[p][q] == b_table[ia][ib]`` on every pair: ``P^T X P
+    == Y`` for the permutation matrix ``P`` of the index map."""
+    return [a_table[p][q] for p, q, _, _, _ in pairs] == [
+        b_table[ia][ib] for _, _, ia, ib, _ in pairs
+    ]
 
 
 def check_classical(w: Weights) -> CheckReport:
@@ -158,10 +157,10 @@ def check_classical(w: Weights) -> CheckReport:
         )
 
     pairs = _basis_pairs(w, xi)
-    (gram,) = _at_b_indices(w, xi, gram_matrix(w))
+    gram = gram_matrix(w)
     metric = bside.metric_matrix(w)
-    for _, _, ia, ib, where in pairs:
-        report.compare("pairing", gram[ia][ib], metric[ia][ib], **where)
+    for p, q, ia, ib, where in pairs:
+        report.compare("pairing", gram[p][q], metric[ia][ib], **where)
 
     # B index of each basis position, and D * sigma as integers.
     to_b = [xi.forward[bc] for bc in basis]
@@ -194,21 +193,21 @@ def check_quantum(w: Weights) -> CheckReport:
     xi = mirror_index_map(w)
     sigma = spectrum(w)
 
-    gram_a, a0_a = _at_b_indices(w, xi, gram_matrix(w), aquantum.a0_matrix(w))
-    a0_b = bside.a0_matrix(w)
+    pairs = _basis_pairs(w, xi)
+    gram = gram_matrix(w)
+    a0_a, a0_b = aquantum.a0_matrix(w), bside.a0_matrix(w)
     report.expect(
-        gram_a == [list(row) for row in bside.metric_matrix(w)],
+        _transports(gram, bside.metric_matrix(w), pairs),
         check="gram_transport",
         detail="P^T * gram_A * P != gram_B",
     )
     report.expect(
-        a0_a == a0_b,
+        _transports(a0_a, a0_b, pairs),
         check="a0_transport",
         detail="P^T * A0_A * P != A0_B at Q=1",
     )
-    pairs = _basis_pairs(w, xi)
-    for _, _, ia, ib, where in pairs:
-        report.compare("a0_entry", a0_a[ia][ib], a0_b[ia][ib], **where)
+    for p, q, ia, ib, where in pairs:
+        report.compare("a0_entry", a0_a[p][q], a0_b[ia][ib], **where)
 
     for bc in ordered_basis(w):
         half = degree(w, bc) / 2
@@ -231,17 +230,16 @@ def check_quantum(w: Weights) -> CheckReport:
         index=xi.forward[unit_class],
     )
 
-    # Column a of A0 is mu * (eta_1^1 * a) at Q = 1, so the 3-point number
-    # ((eta_1^1, a, b)) = g(eta_1^1 * a, b) is (A0^T G)[a][b] / mu; both
-    # tables are already at B indices.  The sum skips zero terms and starts
-    # from the shared zero, so a vanishing number is that zero.
-    images = [
-        [(r, a0_a[r][j] / w.mu) for r in range(w.mu) if a0_a[r][j]] for j in range(w.mu)
-    ]
-    for _, _, ia, ib, where in pairs:
+    # The 3-point number ((eta_1^1, a, b)) = g(eta_1^1 * a, b) at Q = 1: the
+    # scalar of a's image times one Gram entry, or the shared zero when that
+    # entry is zero.
+    action = aquantum.hyperplane_table(w)
+    for p, q, ia, ib, where in pairs:
+        scalar, _, target = action[p]
+        entry = gram[target][q]
         report.compare(
             "three_point_tensor",
-            sum((c * gram_a[r][ib] for r, c in images[ia] if gram_a[r][ib]), ZERO),
+            scalar * entry if entry else ZERO,
             bside.three_tensor(w, ia, ib),
             **where,
         )

@@ -7,7 +7,9 @@ the falling-factorial ratio below is an alternative route to the sector
 structure constants, the cup product is the Chen-Ruan formula with its
 obstruction set, stated over those ``Fraction`` definitions, and again as
 the per-pair carry rule over the sector table's integer parts with the
-target found by ``Fraction`` addition, the Poincare pairing is the per-pair
+target found by ``Fraction`` addition, the hyperplane action is that carry
+rule below a sector's top power and, on it, the jump to the next value
+``l / w_i`` in ``Fraction`` arithmetic, the Poincare pairing is the per-pair
 rule over the same ``Fraction`` definitions, the B product is the weight power of
 an exponent vector summed from five frame rows, the degree-one
 3-point numbers are sorted into vanishing, classical and quantum cases by
@@ -159,6 +161,26 @@ def cup_basis_carry(w: Weights, a: BasisClass, b: BasisClass):
     if d > s.dim:
         return 0, None
     return math.prod(w[i] for i in carry), BasisClass(g, d)
+
+
+def hyperplane_reference(w: Weights, bc: BasisClass):
+    """``eta_1^1 * bc`` at the origin as ``(scalar, qexp, target)``.  Below
+    the top power of the sector ``g`` of ``bc`` it is the cup product with
+    ``eta_0^1`` by the carry rule.  On the top power it jumps to
+    ``eta_{next^-1}^0``, where ``next`` is the least value ``l / w_i`` above
+    ``g^-1`` (1 past the last), with the scalar ``prod(1 / w_i, i in I(g))``
+    and the exponent ``next - g^-1``.  Raises ``ValueError`` if ``bc`` is not
+    a basis class."""
+    _basis_record(w, bc)
+    g = bc.gamma
+    if bc.d < sector_dim(w, g):
+        coeff, target = cup_basis_carry(w, BasisClass(Fraction(0), 1), bc)
+        return Fraction(coeff), Fraction(0), target
+    inverse = frac(-g)
+    later = [Fraction(l, wi) for wi in w for l in range(wi) if Fraction(l, wi) > inverse]
+    nxt = min(later, default=Fraction(1))
+    scalar = Fraction(1, math.prod(w[i] for i in fixed_indices(w, g)))
+    return scalar, nxt - inverse, BasisClass(frac(-nxt), 0)
 
 
 def pairing_reference(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbimirror import BasisClass, Weights, acohomology, aquantum, bside
+from orbimirror import Weights, acohomology, aquantum, bside
 from orbimirror import check_classical, check_quantum
 from orbimirror import cli, mirror, ordered_basis, run_selftest, sector_table, selftest
 
@@ -137,18 +137,18 @@ def test_cup_table_failure_records(monkeypatch):
 
 
 def test_a_side_action_failure_records(monkeypatch):
-    # eta_1^1 * eta_1^1 doubled on the A side.  The 3-point tensor is read
-    # off the same hyperplane action as A0, so it fails with it, at the one
-    # pair that pairs the doubled image nontrivially.
-    hyperplane_quantum_mult = aquantum.hyperplane_quantum_mult
+    # eta_1^1 * eta_1^1 doubled in the A-side hyperplane table.  The 3-point
+    # tensor is read off the same table as A0, so it fails with it, at the
+    # one pair that pairs the doubled image nontrivially.
+    hyperplane_table = aquantum.hyperplane_table
 
-    def doubled_square(w, c):
-        image = hyperplane_quantum_mult(w, c)
-        if c.bc == BasisClass(Fraction(0), 1):
-            return image._replace(scalar=2 * image.scalar)
-        return image
+    def doubled_square(w):
+        rows = list(hyperplane_table(w))
+        scalar, qexp, target = rows[1]  # eta_1^1 sits at position 1
+        rows[1] = (2 * scalar, qexp, target)
+        return tuple(rows)
 
-    monkeypatch.setattr(aquantum, "hyperplane_quantum_mult", doubled_square)
+    monkeypatch.setattr(aquantum, "hyperplane_table", doubled_square)
     quantum = check_quantum(Weights(1, 2, 3))
     assert quantum.checks == 87
     assert _by_check(quantum) == {
@@ -227,10 +227,11 @@ POWER_MU = [("check", "hyperplane_power_mu"), ("detail", "(eta_1^1)^mu != Q * pr
 )
 def test_selftest_failure_records(monkeypatch, asymmetric, expected):
     # One extra obstruction index on the last coordinate, in the cup table
-    # that selftest reads for its ring checks and, through ``cup_basis``, for
-    # the hyperplane action: each nonzero product where that coordinate does
-    # not carry gains a factor w[-1].  With ``asymmetric`` only for
-    # ``g0 < g1``, which also breaks commutativity.
+    # that selftest reads for its ring checks and the hyperplane table reads
+    # for its classical shift: each nonzero product where that coordinate
+    # does not carry gains a factor w[-1].  With ``asymmetric`` only for
+    # ``g0 < g1``, which also breaks commutativity.  The hyperplane table is
+    # cached, so it is built afresh from the faulty cup table.
     def with_extra_index(w, a, b, coeff, target):
         table = sector_table(w)
         last = len(w) - 1
@@ -242,7 +243,8 @@ def test_selftest_failure_records(monkeypatch, asymmetric, expected):
 
     faulty = _cup_table_through(with_extra_index)
     monkeypatch.setattr(selftest, "cup_table", faulty)
-    monkeypatch.setattr(acohomology, "cup_table", faulty)
+    monkeypatch.setattr(aquantum, "cup_table", faulty)
+    monkeypatch.setattr(aquantum, "hyperplane_table", aquantum.hyperplane_table.__wrapped__)
     report = run_selftest(Weights(2, 3, 4))
     assert report.checks == 3395
     assert _by_check(report) == expected

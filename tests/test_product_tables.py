@@ -1,10 +1,12 @@
 """The position tables of the two sides against their per-pair oracles.
 
 ``cup_table`` and ``gram_matrix`` state the cup product and the pairing by
-basis position, ``cup_basis`` and ``pairing`` read them, and
-``bside.product`` reads per-index integers; each must equal the per-pair
-``Fraction`` form it replaced (``tests/_oracles.py``) on every census vector
-and on the two top rungs of the benchmark's rank ladder.
+basis position, and ``cup_basis`` and ``pairing`` read them;
+``hyperplane_table`` states the hyperplane action, which
+``hyperplane_quantum_mult`` and ``a0_matrix`` read; ``bside.product`` reads
+per-index integers.  Each must equal the per-pair ``Fraction`` form it
+replaced (``tests/_oracles.py``) on every census vector and on the two top
+rungs of the benchmark's rank ladder.
 """
 
 from __future__ import annotations
@@ -13,10 +15,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from _oracles import b_product_exponents, cup_basis_carry, pairing_reference
+from _oracles import (
+    b_product_exponents,
+    cup_basis_carry,
+    hyperplane_reference,
+    pairing_reference,
+)
 from conftest import CENSUS
 from orbimirror import (
     BasisClass,
+    CohClass,
     Weights,
     bside,
     cup_basis,
@@ -25,6 +33,7 @@ from orbimirror import (
     ordered_basis,
     pairing,
 )
+from orbimirror.aquantum import a0_matrix, hyperplane_quantum_mult, hyperplane_table
 from orbimirror.combinatorics import ZERO
 
 RUNGS = [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16)]
@@ -65,6 +74,24 @@ def test_gram_matrix_and_pairing_match_pairing_oracle(wts):
 
 
 @VECTORS
+def test_hyperplane_table_and_readers_match_hyperplane_oracle(wts):
+    for wt in wts:
+        w = Weights(wt)
+        basis = ordered_basis(w)
+        index = {bc: p for p, bc in enumerate(basis)}
+        table = hyperplane_table(w)
+        dense = [[F(0)] * w.mu for _ in range(w.mu)]
+        assert len(table) == w.mu, wt
+        for p, bc in enumerate(basis):
+            scalar, qexp, target = hyperplane_reference(w, bc)
+            assert table[p] == (scalar, qexp, index[target]), (wt, bc)
+            image = hyperplane_quantum_mult(w, CohClass.line(bc, 3, F(1, 2)))
+            assert image == CohClass(target, 3 * scalar, F(1, 2) + qexp), (wt, bc)
+            dense[index[target]][p] = w.mu * scalar
+        assert a0_matrix(w) == dense, wt
+
+
+@VECTORS
 def test_b_product_matches_exponent_oracle(wts):
     for wt in wts:
         w = Weights(wt)
@@ -81,6 +108,16 @@ def test_cup_table_is_read_only():
         table[0] = ()
     with pytest.raises(TypeError):
         table[0][0] = (0, None)
+
+
+def test_hyperplane_table_is_read_only():
+    table = hyperplane_table(Weights(1, 2, 3))
+    assert type(table) is tuple
+    assert all(type(entry) is tuple for entry in table)
+    with pytest.raises(TypeError):
+        table[0] = ()
+    with pytest.raises(TypeError):
+        table[0][0] = F(0)
 
 
 @pytest.mark.parametrize(

@@ -74,7 +74,7 @@ def hyperplane_table(w: Weights) -> tuple[tuple[Fraction, Fraction, int], ...]:
         after = bisect.bisect_right(secs, prev)
         nxt = secs[after] if after < len(secs) else Fraction(1)
         target = table[table[nxt % 1].inverse].k_min
-        rows.append((table[prev].inv_weight_product, nxt - prev, target))
+        rows.append((s.inv_weight_product, nxt - prev, target))
     return tuple(rows)
 
 

@@ -18,7 +18,7 @@ _HOME = {
         "acohomology": "BasisClass CohClass basis_position cup_basis cup_table degree gram_matrix "
         "ordered_basis pairing unit",
         "errors": "InternalConsistencyError",
-        "mirror": "CheckReport MirrorIndexMap check_classical check_quantum mirror_index_map",
+        "mirror": "CheckReport check_classical check_quantum index_table",
         "selftest": "run_selftest",
         "wdvv": "Potential initial_coeffs reconstruct residual_table wdvv_residual",
     }.items()

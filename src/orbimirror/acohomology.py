@@ -82,11 +82,11 @@ def ordered_basis(w: Weights) -> tuple[BasisClass, ...]:
 def basis_sector(w: Weights, c: BasisClass) -> SectorData:
     """The sector record of the basis class ``c = eta_g^d``.
 
-    Raises ``ValueError`` unless ``g`` is a sector and ``d`` is an integer
-    with ``0 <= d <= dim(g)``.
+    Raises ``ValueError`` unless ``g`` is a sector and ``d`` is a plain
+    ``int`` (not a ``bool``) with ``0 <= d <= dim(g)``.
     """
     s = sector_table(w).get(c.gamma)
-    if s is None or not isinstance(c.d, int) or not 0 <= c.d <= s.dim:
+    if s is None or type(c.d) is not int or not 0 <= c.d <= s.dim:
         raise ValueError(f"eta_{c.gamma}^{c.d} is not a basis class of P{w.w}")
     return s
 

@@ -40,8 +40,10 @@ from .combinatorics import ZERO, SectorData, Weights, s_sequence, sector_table, 
 
 @lru_cache(maxsize=None)
 def omega_frame(w: Weights) -> tuple[tuple[int, ...], ...]:
-    """The exponents ``a(0), ..., a(2 mu - 2)`` of the recursion: products
-    read ``a(i + j)`` before reduction mod ``mu``.
+    """The exponents ``a(0), ..., a(2 mu - 2)`` of the recursion.
+    :func:`product` reads only the rows ``a(k_min(s(k)))``, all below
+    ``mu``; the rows ``a(i + j)`` past ``mu - 1`` are read only by the test
+    oracle ``tests/_oracles.b_product_exponents``.
 
     >>> omega_frame(Weights(1, 2))
     ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
@@ -114,8 +116,13 @@ def metric(w: Weights, j: int, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def metric_matrix(w: Weights) -> tuple[tuple[Fraction, ...], ...]:
-    mu = w.mu
-    return tuple(tuple(metric(w, j, k) for k in range(mu)) for j in range(mu))
+    """The residue metric as rows: :func:`metric_diagonal` written into rows
+    of :data:`~orbimirror.combinatorics.ZERO`, one entry per column."""
+    dual, entry = metric_diagonal(w)
+    rows = [[ZERO] * w.mu for _ in range(w.mu)]
+    for k, j in enumerate(dual):
+        rows[j][k] = entry[k]
+    return tuple(map(tuple, rows))
 
 
 def three_tensor(w: Weights, j: int, k: int) -> Fraction:

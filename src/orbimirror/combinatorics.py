@@ -56,7 +56,11 @@ class Weights:
 
     def __init__(self, *w):
         if len(w) == 1 and not isinstance(w[0], int):
-            w = tuple(w[0])
+            try:
+                items = iter(w[0])
+            except TypeError:
+                items = w  # a lone non-integer: refused below
+            w = tuple(items)
         if not w:
             raise ValueError("weight vector must be nonempty")
         for x in w:

@@ -1,7 +1,8 @@
 """The two mirror correspondence checkers.
 
 The index bijection sends the basis class ``eta_g^d`` to position
-``k_min(g^{-1}) + d`` on the B side.  It must intertwine, exactly:
+``k_min(g^{-1}) + d`` on the B side.  It is stated once, as a table by
+basis position, in :func:`index_table`.  It must intertwine, exactly:
 
 * both pairings,
 * the classical products (cup against the graded part of the B product,
@@ -15,36 +16,25 @@ PASS or the list of counterexamples in basis order.  They are regression
 instruments: a failure carries the offending pair, both exact values and
 the mapped indices.
 
-They read tables by position, not classes by hash: the Gram matrix, the
-cup table, :func:`~orbimirror.aquantum.hyperplane_table` (the 3-point
-numbers too) and the spectrum as integers scaled by ``D = lcm(w)``.  Each
-pair compares an A table at basis positions ``(p, q)`` with a B table at
-``(ia, ib)``, so no ``P^T X P`` copy is made.  Zero entries are the one
-shared :data:`~orbimirror.combinatorics.ZERO`, which
-:meth:`CheckReport.compare` passes by identity.
+They read tables by position, not classes by hash: the index table, the
+Gram matrix, the cup table, :func:`~orbimirror.aquantum.hyperplane_table`
+(the 3-point numbers too) and the spectrum as integers scaled by
+``D = lcm(w)``.  Both checkers walk one cached tuple of basis pairs, built
+from the index table once per weight vector.  Each pair compares an A
+table at basis positions ``(p, q)`` with a B table at ``(ia, ib)``, so no
+``P^T X P`` copy is made.  Zero entries are the one shared
+:data:`~orbimirror.combinatorics.ZERO`, which :meth:`CheckReport.compare`
+passes by identity.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from fractions import Fraction
+from functools import lru_cache
 
 from . import aquantum, bside
-from .acohomology import (
-    BasisClass,
-    cup_table,
-    degree,
-    gram_matrix,
-    ordered_basis,
-)
+from .acohomology import BasisClass, cup_table, degree, gram_matrix, ordered_basis
 from .combinatorics import ZERO, Weights, sector_table, spectrum
 from .errors import InternalConsistencyError
-
-
-class MirrorIndexMap(namedtuple("MirrorIndexMap", "forward inverse")):
-    """Bijection basis class <-> B-side index ``k_min(g^{-1}) + d``."""
-
-    __slots__ = ()
 
 
 def _text(value):
@@ -91,27 +81,24 @@ class CheckReport:
             )
 
 
-def mirror_index_map(w: Weights) -> MirrorIndexMap:
-    """Build the index bijection; a collision is an internal error.
+@lru_cache(maxsize=None)
+def index_table(w: Weights) -> tuple[int, ...]:
+    """The index bijection by basis position: entry ``p`` is the B index
+    ``k_min(g^{-1}) + d`` of ``ordered_basis(w)[p] = eta_g^d``.  Anything but
+    a bijection onto ``0 .. mu - 1`` is an internal error.
 
-    >>> m = mirror_index_map(Weights(1, 3))
-    >>> [m.forward[bc] for bc in ordered_basis(Weights(1, 3))]
-    [0, 1, 3, 2]
+    >>> index_table(Weights(1, 3))
+    (0, 1, 3, 2)
     """
     table = sector_table(w)
-    forward = {}
-    inverse = {}
-    for bc in ordered_basis(w):
-        idx = table[table[bc.gamma].inverse].k_min + bc.d
-        if idx in inverse:
-            raise InternalConsistencyError(
-                f"index map collision: {bc} and {inverse[idx]} both map to {idx}"
-            )
-        forward[bc] = idx
-        inverse[idx] = bc
-    if set(inverse) != set(range(w.mu)):
-        raise InternalConsistencyError("index map is not onto 0..mu-1")
-    return MirrorIndexMap(forward, inverse)
+    indices = tuple(
+        table[s.inverse].k_min + d for s in table.values() for d in range(s.dim + 1)
+    )
+    if sorted(indices) != list(range(w.mu)):
+        raise InternalConsistencyError(
+            f"index map {indices} is not a bijection onto 0..{w.mu - 1}"
+        )
+    return indices
 
 
 def basis_label(bc: BasisClass) -> tuple[str, int]:
@@ -119,34 +106,34 @@ def basis_label(bc: BasisClass) -> tuple[str, int]:
     return str(bc.gamma), bc.d
 
 
-def _basis_pairs(w: Weights, xi: MirrorIndexMap) -> list:
-    """Every ordered pair of basis positions ``p, q``, in basis order, with
-    their B indices and the failure-record fields ``pair`` and ``indices``."""
-    rows = [(p, basis_label(bc), xi.forward[bc]) for p, bc in enumerate(ordered_basis(w))]
-    return [
-        (p, q, ia, ib, {"pair": (la, lb), "indices": (ia, ib)})
-        for p, la, ia in rows
-        for q, lb, ib in rows
-    ]
+@lru_cache(maxsize=None)
+def _basis_pairs(w: Weights) -> tuple[tuple, ...]:
+    """Every ordered pair of basis positions, in basis order, as ``(p, q,
+    ia, ib, pair, indices)``: the positions, their B indices and the
+    failure-record fields ``pair`` and ``indices``."""
+    rows = list(enumerate(zip(map(basis_label, ordered_basis(w)), index_table(w))))
+    return tuple(
+        (p, q, ia, ib, (la, lb), (ia, ib))
+        for p, (la, ia) in rows
+        for q, (lb, ib) in rows
+    )
 
 
 def _transports(a_table, b_table, pairs) -> bool:
     """Whether ``a_table[p][q] == b_table[ia][ib]`` on every pair: ``P^T X P
     == Y`` for the permutation matrix ``P`` of the index map."""
-    return [a_table[p][q] for p, q, _, _, _ in pairs] == [
-        b_table[ia][ib] for _, _, ia, ib, _ in pairs
+    return [a_table[p][q] for p, q, _, _, _, _ in pairs] == [
+        b_table[ia][ib] for _, _, ia, ib, _, _ in pairs
     ]
 
 
 def check_classical(w: Weights) -> CheckReport:
     """Exact comparison of the two graded Frobenius algebras."""
     report = CheckReport("classical")
-    xi = mirror_index_map(w)
+    xi = index_table(w)
     sigma = spectrum(w)
-    basis = ordered_basis(w)
 
-    for bc in basis:
-        k = xi.forward[bc]
+    for bc, k in zip(ordered_basis(w), xi):
         report.compare(
             "grading",
             degree(w, bc) / 2,
@@ -156,24 +143,23 @@ def check_classical(w: Weights) -> CheckReport:
             index=k,
         )
 
-    pairs = _basis_pairs(w, xi)
+    pairs = _basis_pairs(w)
     gram = gram_matrix(w)
     metric = bside.metric_matrix(w)
-    for p, q, ia, ib, where in pairs:
-        report.compare("pairing", gram[p][q], metric[ia][ib], **where)
+    for p, q, ia, ib, pair, indices in pairs:
+        report.compare("pairing", gram[p][q], metric[ia][ib], pair=pair, indices=indices)
 
-    # B index of each basis position, and D * sigma as integers.
-    to_b = [xi.forward[bc] for bc in basis]
+    # D * sigma as integers.
     lcm = w.lcm
     scaled = [(lcm * x).numerator for x in sigma]
     cups = cup_table(w)
-    for p, q, ia, ib, where in pairs:
+    for p, q, ia, ib, pair, indices in pairs:
         coeff, target = cups[p][q]
-        a_vec = {to_b[target]: coeff} if target is not None else {}
+        a_vec = {xi[target]: coeff} if target is not None else {}
         bcoeff, btarget = bside.product(w, ia, ib)
         graded = scaled[ia] + scaled[ib] == scaled[btarget]
         b_vec = {btarget: bcoeff} if graded else {}
-        report.compare("graded_product", a_vec, b_vec, **where)
+        report.compare("graded_product", a_vec, b_vec, pair=pair, indices=indices)
     return report
 
 
@@ -190,10 +176,10 @@ def check_quantum(w: Weights) -> CheckReport:
             "(at least two weights)"
         )
     report = CheckReport("quantum")
-    xi = mirror_index_map(w)
+    xi = index_table(w)
     sigma = spectrum(w)
 
-    pairs = _basis_pairs(w, xi)
+    pairs = _basis_pairs(w)
     gram = gram_matrix(w)
     a0_a, a0_b = aquantum.a0_matrix(w), bside.a0_matrix(w)
     report.expect(
@@ -206,12 +192,11 @@ def check_quantum(w: Weights) -> CheckReport:
         check="a0_transport",
         detail="P^T * A0_A * P != A0_B at Q=1",
     )
-    for p, q, ia, ib, where in pairs:
-        report.compare("a0_entry", a0_a[p][q], a0_b[ia][ib], **where)
+    for p, q, ia, ib, pair, indices in pairs:
+        report.compare("a0_entry", a0_a[p][q], a0_b[ia][ib], pair=pair, indices=indices)
 
-    for bc in ordered_basis(w):
+    for bc, k in zip(ordered_basis(w), xi):
         half = degree(w, bc) / 2
-        k = xi.forward[bc]
         report.compare(
             "a_infinity_transport",
             half,
@@ -223,24 +208,21 @@ def check_quantum(w: Weights) -> CheckReport:
             1 - half == 1 - sigma[k], check="euler_coefficients", cls=basis_label(bc)
         )
 
-    unit_class = BasisClass(Fraction(0), 0)
-    report.expect(
-        xi.forward[unit_class] == 0,
-        check="unit_transport",
-        index=xi.forward[unit_class],
-    )
+    # The unit eta_1^0 sits at position 0.
+    report.expect(xi[0] == 0, check="unit_transport", index=xi[0])
 
     # The 3-point number ((eta_1^1, a, b)) = g(eta_1^1 * a, b) at Q = 1: the
     # scalar of a's image times one Gram entry, or the shared zero when that
     # entry is zero.
     action = aquantum.hyperplane_table(w)
-    for p, q, ia, ib, where in pairs:
+    for p, q, ia, ib, pair, indices in pairs:
         scalar, _, target = action[p]
         entry = gram[target][q]
         report.compare(
             "three_point_tensor",
             scalar * entry if entry else ZERO,
             bside.three_tensor(w, ia, ib),
-            **where,
+            pair=pair,
+            indices=indices,
         )
     return report

@@ -158,12 +158,11 @@ from itertools import product as iter_product
 from types import MappingProxyType
 
 from . import bside
-from .combinatorics import Weights, spectrum
+from .combinatorics import ZERO, Weights, spectrum
 from .errors import InternalConsistencyError
 
 MultiIndex = tuple[int, ...]
 Equation = tuple[int, int, int, int]
-_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +267,7 @@ class Potential:
             raise ValueError(
                 f"length {total} exceeds reconstruction depth {self.max_length}"
             )
-        return self.coeffs.get(alpha, Fraction(0))
+        return self.coeffs.get(alpha, ZERO)
 
     def nonzero_items(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -744,4 +743,4 @@ def wdvv_residual(
         raise ValueError(
             f"equation ({i},{j},{k},{l}) needs integer indices in [0, {mu})"
         )
-    return residual_table(p, alpha).get((i, j, k, l), _ZERO)
+    return residual_table(p, alpha).get((i, j, k, l), ZERO)

@@ -3,6 +3,8 @@
 Nothing here touches the library's own code paths: the counts of rational
 plane curves come from the classical recursion, the per-sector data (fixed
 sets, dimensions, ages and ``k_min``) has its ``Fraction`` definitions,
+the mirror index of ``eta_g^d`` is the first position of ``g^-1`` in the
+s-sequence plus ``d``,
 the falling-factorial ratio below is an alternative route to the sector
 structure constants, the cup product is the Chen-Ruan formula with its
 obstruction set, stated over those ``Fraction`` definitions, and again as
@@ -68,6 +70,18 @@ def k_min(w: Weights, g) -> int:
     first position of ``g`` in the s-sequence."""
     codim = w.n + 1 - len(fixed_indices(w, g))
     return codim + sum(math.floor(g * wi) for wi in w)
+
+
+def index_reference(w: Weights) -> list[int]:
+    """The mirror index of each ``eta_g^d``, sectors ascending and ``d``
+    ascending within one: the first position of the value ``frac(-g)`` in
+    the s-sequence, plus ``d``."""
+    values = s_sequence(w)
+    return [
+        values.index(frac(-g)) + d
+        for g in sectors(w)
+        for d in range(sector_dim(w, g) + 1)
+    ]
 
 
 def kontsevich_numbers(dmax: int) -> dict[int, int]:

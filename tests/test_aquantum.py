@@ -204,12 +204,14 @@ def test_three_point_equals_pairing_with_quantum_product(wt):
 # For P(1, 2): one exponent above the identity sector's dimension 1, one
 # below 0, one that is not an integer, and a rotation number that is not a
 # sector.
-_OUTSIDE = [bc(0, 2), bc(0, -1), bc(0, F(1, 2)), bc((1, 3), 0)]
+_OUTSIDE = [bc(0, 2), bc(0, -1), bc(0, F(1, 2)), bc(0, True), bc((1, 3), 0)]
 _INSIDE = bc((1, 2), 0)
 
 
 @pytest.mark.parametrize(
-    "outside", _OUTSIDE, ids=["d_above_dim", "d_negative", "d_not_integer", "not_a_sector"]
+    "outside",
+    _OUTSIDE,
+    ids=["d_above_dim", "d_negative", "d_not_integer", "d_bool", "not_a_sector"],
 )
 @pytest.mark.parametrize(
     "call",

@@ -32,6 +32,13 @@ def test_weights_validation():
         Weights(1, -1)
     with pytest.raises(ValueError):
         Weights("1")
+    # A lone argument that is neither an int nor iterable is refused as a
+    # weight, like the same value inside a longer vector or a list.
+    for args in [(2.0,), (2.0, 1), ([2.0],)]:
+        with pytest.raises(ValueError, match=r"^weights must be integers >= 1, got 2\.0$"):
+            Weights(*args)
+    with pytest.raises(ValueError, match="^weights must be integers >= 1, got None$"):
+        Weights(None)
     assert Weights([1, 2]) == Weights(1, 2)
     assert Weights(2, 4).mu == 6
     assert Weights(2, 4).n == 1

@@ -1,53 +1,94 @@
 from __future__ import annotations
 
-from fractions import Fraction as F
-
 import pytest
 
+from _oracles import index_reference
 from conftest import CENSUS, weight_vectors
 from orbimirror import (
-    BasisClass,
     Weights,
     basis_position,
     check_classical,
     check_quantum,
+    cli,
     degree,
-    mirror_index_map,
+    index_table,
+    mirror,
     ordered_basis,
     run_selftest,
     spectrum,
 )
 
+# Past the census: mu = 32 and mu = 64, the second in two orders.
+LARGE = [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16), (16, 11, 8, 15, 5, 9)]
+
 
 def test_index_map_examples():
-    w = Weights(1, 1, 1)
-    m = mirror_index_map(w)
-    assert [m.forward[bc] for bc in ordered_basis(w)] == [0, 1, 2]
-
-    w = Weights(1, 2)
-    m = mirror_index_map(w)
-    assert [m.forward[bc] for bc in ordered_basis(w)] == [0, 1, 2]
-
+    assert index_table(Weights(1, 1, 1)) == (0, 1, 2)
+    assert index_table(Weights(1, 2)) == (0, 1, 2)
     # order-reversing on the twisted sectors
-    w = Weights(1, 3)
-    m = mirror_index_map(w)
-    assert [m.forward[bc] for bc in ordered_basis(w)] == [0, 1, 3, 2]
+    assert index_table(Weights(1, 3)) == (0, 1, 3, 2)
 
 
 def test_index_map_is_bijection(suite_weights):
     w = suite_weights
-    m = mirror_index_map(w)
-    assert sorted(m.forward.values()) == list(range(w.mu))
-    assert all(m.inverse[m.forward[bc]] == bc for bc in ordered_basis(w))
-    assert m.forward[BasisClass(F(0), 0)] == 0
+    xi = index_table(w)
+    assert sorted(xi) == list(range(w.mu))
+    # The unit eta_1^0 sits at position 0 and maps to omega_0.
+    assert xi[0] == 0
 
 
 def test_index_map_degree_compatibility(suite_weights):
     w = suite_weights
-    m = mirror_index_map(w)
     sig = spectrum(w)
-    for bc in ordered_basis(w):
-        assert degree(w, bc) / 2 == sig[m.forward[bc]]
+    for bc, k in zip(ordered_basis(w), index_table(w)):
+        assert degree(w, bc) / 2 == sig[k]
+
+
+@pytest.mark.parametrize("wt", CENSUS + LARGE, ids=lambda t: "w" + "_".join(map(str, t)))
+def test_index_table_matches_oracle(wt):
+    assert list(index_table(Weights(wt))) == index_reference(Weights(wt))
+
+
+def test_index_table_is_read_only():
+    w = Weights(1, 2, 2, 3, 3, 3)
+    xi = index_table(w)
+    assert type(xi) is tuple and all(type(k) is int for k in xi)
+    with pytest.raises(TypeError):
+        xi[0] = 1
+    assert index_table(Weights(1, 2, 2, 3, 3, 3)) is xi
+
+
+def test_pair_rows_are_built_once_for_both_checkers():
+    w = Weights(2, 3, 4)
+    mirror._basis_pairs.cache_clear()
+    check_classical(w)
+    check_quantum(w)
+    info = mirror._basis_pairs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    rows = mirror._basis_pairs(w)
+    assert type(rows) is tuple and len(rows) == w.mu**2
+    assert rows[1] == (0, 1, 0, 1, (("0", 0), ("0", 1)), (0, 1))
+
+
+def test_index_collision_is_exit_3(monkeypatch, capsys):
+    # The last sector's k_min moved down by one: its class lands on the
+    # index of the class before it, so the map is not a bijection.
+    sector_table = mirror.sector_table
+
+    def collided(w):
+        table = dict(sector_table(w))
+        last = next(reversed(table))
+        table[last] = table[last]._replace(k_min=table[last].k_min - 1)
+        return table
+
+    monkeypatch.setattr(mirror, "sector_table", collided)
+    monkeypatch.setattr(mirror, "index_table", mirror.index_table.__wrapped__)
+    assert cli.main(["mirror", "--weights", "1,2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal consistency error: index map (0, 1, 1) is not a bijection onto 0..2\n"
+    )
 
 
 def test_classical_correspondence(suite_weights):
@@ -95,9 +136,10 @@ def test_random_weight_vectors_to_mu_20():
 
 def test_euler_field_coefficients_transport(suite_weights):
     w = suite_weights
-    m = mirror_index_map(w)
     sig = spectrum(w)
-    a_side = {m.forward[bc]: 1 - degree(w, bc) / 2 for bc in ordered_basis(w)}
+    a_side = {
+        k: 1 - degree(w, bc) / 2 for bc, k in zip(ordered_basis(w), index_table(w))
+    }
     b_side = {k: 1 - sig[k] for k in range(w.mu)}
     assert a_side == b_side
 

@@ -1,9 +1,9 @@
 """The contract of the record types.
 
-``SectorData``, ``BasisClass``, ``CohClass`` and ``MirrorIndexMap`` are
-immutable values: fixed field names in a fixed order, no assignment or
-deletion, equality and hash by their fields, and a copy or a pickle round
-trip gives an equal record.  ``BasisClass`` orders by ``(gamma, d)``.
+``SectorData``, ``BasisClass`` and ``CohClass`` are immutable values:
+fixed field names in a fixed order, no assignment or deletion, equality
+and hash by their fields, and a copy or a pickle round trip gives an equal
+record.  ``BasisClass`` orders by ``(gamma, d)``.
 ``CheckReport`` is the one mutable record.
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 from orbimirror.acohomology import BasisClass, CohClass, ordered_basis
 from orbimirror.combinatorics import SectorData, Weights, sector_table
-from orbimirror.mirror import CheckReport, MirrorIndexMap, mirror_index_map
+from orbimirror.mirror import CheckReport
 
 W = Weights(1, 2, 2, 3, 3, 3)
 BC = BasisClass(F(1, 3), 1)
@@ -25,7 +25,6 @@ RECORDS = {
     "SectorData": sector_table(W)[F(1, 3)],
     "BasisClass": BC,
     "CohClass": CohClass.line(BC, F(2, 3), F(1, 3)),
-    "MirrorIndexMap": mirror_index_map(W),
 }
 FIELDS = {
     "SectorData": (
@@ -33,13 +32,11 @@ FIELDS = {
     ),
     "BasisClass": ("gamma", "d"),
     "CohClass": ("bc", "scalar", "qexp"),
-    "MirrorIndexMap": ("forward", "inverse"),
 }
 TYPES = {
     "SectorData": SectorData,
     "BasisClass": BasisClass,
     "CohClass": CohClass,
-    "MirrorIndexMap": MirrorIndexMap,
 }
 CLONES = {
     "copy": copy.copy,
@@ -74,12 +71,7 @@ def test_copies_are_equal_with_an_equal_hash(name, clone):
     twin = clone(record)
     assert type(twin) is type(record)
     assert twin == record and field_values(twin) == field_values(record)
-    if name == "MirrorIndexMap":
-        # Its fields are dicts, so it has no hash, as before.
-        with pytest.raises(TypeError):
-            hash(twin)
-    else:
-        assert hash(twin) == hash(record) == hash(field_values(record))
+    assert hash(twin) == hash(record) == hash(field_values(record))
 
 
 def test_reprs_name_every_field():

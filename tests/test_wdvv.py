@@ -20,8 +20,8 @@ from orbimirror import (
     Potential,
     Weights,
     cli,
+    index_table,
     initial_coeffs,
-    mirror_index_map,
     ordered_basis,
     reconstruct,
     residual_table,
@@ -30,7 +30,7 @@ from orbimirror import (
 )
 from orbimirror.aquantum import three_point
 from orbimirror.bside import metric
-from orbimirror.combinatorics import spectrum
+from orbimirror.combinatorics import ZERO, spectrum
 from orbimirror.wdvv import (
     _admissible_keys,
     _degree_table,
@@ -141,13 +141,20 @@ def test_initial_coeffs_keys_satisfy_congruence(suite_weights):
 def test_initial_coeffs_match_a_side_tensor(suite_weights):
     w = suite_weights
     table = initial_coeffs(w)
-    m = mirror_index_map(w)
-    for a in ordered_basis(w):
-        for b in ordered_basis(w):
-            key = tuple(sorted((1, m.forward[a], m.forward[b])))
+    classes = list(zip(ordered_basis(w), index_table(w)))
+    for a, ia in classes:
+        for b, ib in classes:
+            key = tuple(sorted((1, ia, ib)))
             assert table.get(key, F(0)) == three_point(
                 w, a.gamma, a.d, b.gamma, b.d
             ), (w, a, b)
+
+
+def test_absent_coefficients_are_the_shared_zero():
+    p = reconstruct(Weights(1, 1), 5)
+    assert (3, 0) not in p.coeffs and (1, 2) not in p.coeffs
+    assert p.coeff((3, 0)) is p.coeff((1, 2)) is ZERO
+    assert wdvv_residual(p, 0, 0, 1, 1, (0, 0)) is ZERO
 
 
 def test_homogeneity_step_examples():

@@ -50,6 +50,7 @@ def omega_frame(w: Weights) -> tuple[tuple[int, ...], ...]:
     """
     mu = w.mu
     steps = max(2 * mu - 2, 0)
+    scale = [w.lcm // wj for wj in w]
     a = [(0,) * len(w)]
     idx = [0]
     for k in range(steps):
@@ -57,8 +58,9 @@ def omega_frame(w: Weights) -> tuple[tuple[int, ...], ...]:
         cur[idx[k]] += 1
         nxt = tuple(cur)
         a.append(nxt)
-        # The first coordinate with the least nxt[j] / w[j].
-        idx.append(min(range(len(w)), key=lambda j: Fraction(nxt[j], w[j])))
+        # The first coordinate with the least nxt[j] / w[j], scaled by lcm(w)
+        # to an int: the same order, ties included.
+        idx.append(min(range(len(w)), key=lambda j: nxt[j] * scale[j]))
     return tuple(a)
 
 
@@ -106,12 +108,6 @@ def metric_diagonal(w: Weights) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     mu = w.mu
     dual = tuple((w.n - k) % mu for k in range(mu))
     return dual, tuple(s.inv_weight_product for s in _index_sectors(w))
-
-
-def metric(w: Weights, j: int, k: int) -> Fraction:
-    """Residue pairing ``g(e_j, e_k)``; nonzero exactly on ``j + k = n mod mu``."""
-    dual, entry = metric_diagonal(w)
-    return entry[k] if dual[k] == j else ZERO
 
 
 @lru_cache(maxsize=None)

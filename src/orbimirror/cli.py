@@ -14,6 +14,11 @@ has one builder in :data:`COMMANDS`, and both formats render what it
 builds: a TSV row of ``basis``, ``cup`` or ``smallqc`` is one JSON record
 with nested records inline in key order; in ``cup`` a null ``out`` (a zero
 product) is written ``0 0``.
+
+JSON is written by one renderer, :func:`dumps`, whose text is
+``json.dumps(payload, indent=2)`` byte for byte; with an ``indent`` the
+standard library falls back to its pure-Python encoder, which cost more
+than building the largest payloads.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .combinatorics import Weights
 from .errors import InternalConsistencyError
@@ -132,6 +138,87 @@ def _cells(record) -> list[str]:
     if isinstance(record, dict):
         return [cell for value in record.values() for cell in _cells(value)]
     return [str(record)]
+
+
+def _key(key) -> str:
+    """A dict key quoted as :mod:`json` quotes it: a ``str`` as itself, a
+    number, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _wrap(items, brackets: str, level: int) -> str:
+    """``items``, texts already, as one container ``level`` deep."""
+    inner = "\n" + "  " * (level + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
+
+
+def _render(values, level: int) -> list[str]:
+    """The text of each of ``values`` in ``json.dumps(indent=2)``, nested
+    ``level`` deep.  A list of ``str`` or of ``int`` is one ``map``; an
+    object repeated in ``values`` is rendered once; more dicts that share
+    one key tuple, or lists of one length, than they have items fill one
+    ``%``-template, column by column.
+
+    >>> for text in _render([{"a": [1, 2], "b%": None}, {}], 0):
+    ...     print(text)
+    {
+      "a": [
+        1,
+        2
+      ],
+      "b%": null
+    }
+    {}
+    """
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    ids = list(map(id, values))
+    unique = dict(zip(ids, values))
+    if len(unique) < len(values):
+        text = dict(zip(unique, _render(list(unique.values()), level)))
+        return list(map(text.__getitem__, ids))
+    if kinds == {dict} or kinds <= {list, tuple}:
+        shapes = set(map(tuple if kinds == {dict} else len, values))
+        if len(shapes) == 1:
+            (shape,) = shapes
+            records = type(shape) is tuple
+            if 0 < (len(shape) if records else shape) < len(values):
+                if records:
+                    slots = [_key(k).replace("%", "%%") + ": %s" for k in shape]
+                    values = map(dict.values, values)
+                else:
+                    slots = ["%s"] * shape
+                template = _wrap(slots, "{}" if records else "[]", level)
+                columns = [_render(column, level + 1) for column in zip(*values)]
+                return [template % row for row in zip(*columns)]
+    return [_render_one(v, level) for v in values]
+
+
+def _render_one(value, level: int) -> str:
+    """One value, as :func:`_render` writes it."""
+    if isinstance(value, dict):
+        texts = _render(list(value.values()), level + 1)
+        return _wrap([f"{_key(k)}: {t}" for k, t in zip(value, texts)], "{}", level) if value else "{}"
+    if isinstance(value, (list, tuple)):
+        return _wrap(_render(list(value), level + 1), "[]", level) if value else "[]"
+    return json.dumps(value)
+
+
+def dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, without its
+    pure-Python encoder.
+
+    >>> dumps({"w": [1, 2], 3: "\u00e9"}) == json.dumps({"w": [1, 2], 3: "\u00e9"}, indent=2)
+    True
+    """
+    return _render([payload], 0)[0]
 
 
 def _report_payload(report) -> dict:
@@ -285,7 +372,7 @@ def run(cfg: argparse.Namespace) -> int:
     try:
         body, rows = COMMANDS[cfg.command](cfg)
         if cfg.format == "json":
-            text = json.dumps({"weights": list(cfg.weights.w), **body}, indent=2) + "\n"
+            text = dumps({"weights": list(cfg.weights.w), **body}) + "\n"
         else:
             text = "".join("\t".join(row) + "\n" for row in rows())
     except InternalConsistencyError as exc:

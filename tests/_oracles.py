@@ -210,6 +210,19 @@ def pairing_reference(w: Weights, a: BasisClass, b: BasisClass) -> Fraction:
     return Fraction(1, math.prod(w[i] for i in fixed_indices(w, g)))
 
 
+def omega_frame_reference(w: Weights) -> tuple[tuple[int, ...], ...]:
+    """The exponents ``a(0), ..., a(2 mu - 2)`` of the B-side recursion, with
+    each next coordinate the first ``j`` of least ``Fraction(a(k)_j, w_j)``."""
+    a = [(0,) * len(w)]
+    j = 0
+    for _ in range(max(2 * w.mu - 2, 0)):
+        nxt = list(a[-1])
+        nxt[j] += 1
+        a.append(tuple(nxt))
+        j = min(range(len(w)), key=lambda i: Fraction(nxt[i], w[i]))
+    return tuple(a)
+
+
 def b_product_exponents(w: Weights, i: int, j: int):
     """``[omega_i] * [omega_j]`` as ``(coefficient, (i + j) mod mu)``: the
     weight power of ``a(k(i)) + a(k(j)) - a(k(t)) + a(t) - a(i + j)``, with

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from _oracles import identity, matmul
+import pytest
+from _oracles import identity, matmul, omega_frame_reference
+from conftest import CENSUS
 from orbimirror import Weights, s_sequence, spectrum
 from orbimirror.bside import (
     a0_matrix,
-    metric,
     metric_diagonal,
     metric_matrix,
     omega_frame,
@@ -18,6 +19,17 @@ from orbimirror.linalg import char_poly, mat_inverse
 
 def test_omega_frame_example():
     assert omega_frame(Weights(1, 2)) == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "wt",
+    CENSUS + [(3, 5, 6, 8, 10), (5, 8, 9, 11, 15, 16), (16, 11, 8, 15, 5, 9)],
+    ids=lambda t: "w" + "_".join(map(str, t)),
+)
+def test_omega_frame_matches_fraction_oracle(wt):
+    # The integer key nxt[j] * (lcm // w[j]) orders, and breaks ties, as
+    # Fraction(nxt[j], w[j]) does.
+    assert omega_frame(Weights(wt)) == omega_frame_reference(Weights(wt))
 
 
 def test_omega_frame_unit_weights_cycles():
@@ -48,9 +60,9 @@ def test_product_examples():
 
 def test_metric_examples():
     w = Weights(1, 2)
-    assert metric(w, 0, 1) == F(1, 2)
-    assert metric(w, 2, 2) == F(1, 2)
-    assert metric(w, 0, 0) == 0
+    assert metric_matrix(w)[0][1] == F(1, 2)
+    assert metric_matrix(w)[2][2] == F(1, 2)
+    assert metric_matrix(w)[0][0] == 0
     m3 = metric_matrix(Weights(1, 1, 1))
     assert m3 == (
         (F(0), F(0), F(1)),
@@ -63,7 +75,7 @@ def test_metric_symmetric(suite_weights):
     w = suite_weights
     for j in range(w.mu):
         for k in range(w.mu):
-            assert metric(w, j, k) == metric(w, k, j)
+            assert metric_matrix(w)[j][k] == metric_matrix(w)[k][j]
 
 
 def test_three_tensor_examples():
@@ -102,9 +114,9 @@ def test_product_associative_and_frobenius(suite_weights):
         for j in range(mu):
             cij, tij = product(w, i, j)
             for k in range(mu):
-                lhs = cij * metric(w, tij, k)
+                lhs = cij * metric_matrix(w)[tij][k]
                 cjk, tjk = product(w, j, k)
-                rhs = cjk * metric(w, tjk, i)
+                rhs = cjk * metric_matrix(w)[tjk][i]
                 assert lhs == rhs, (w, i, j, k)
 
 
@@ -113,7 +125,7 @@ def test_three_tensor_matches_product_pairing(suite_weights):
     for j in range(w.mu):
         for k in range(w.mu):
             c, t = product(w, 1, j)
-            assert three_tensor(w, j, k) == c * metric(w, t, k), (w, j, k)
+            assert three_tensor(w, j, k) == c * metric_matrix(w)[t][k], (w, j, k)
 
 
 def test_grading_adjoint_identity(suite_weights):

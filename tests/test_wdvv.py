@@ -29,7 +29,7 @@ from orbimirror import (
     wdvv_residual,
 )
 from orbimirror.aquantum import three_point
-from orbimirror.bside import metric
+from orbimirror.bside import metric_matrix
 from orbimirror.combinatorics import ZERO, spectrum
 from orbimirror.wdvv import (
     _admissible_keys,
@@ -117,7 +117,7 @@ def test_initial_coeffs_examples():
         for j in range(w.mu):
             for k in range(j, w.mu):
                 got = table.get((0, j, k), F(0))
-                assert got == metric(w, j, k), (wt, j, k)
+                assert got == metric_matrix(w)[j][k], (wt, j, k)
 
 
 def test_initial_coeffs_is_read_only():

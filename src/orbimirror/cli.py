@@ -16,19 +16,19 @@ with nested records inline in key order; in ``cup`` a null ``out`` (a zero
 product) is written ``0 0``.
 
 JSON is written by one renderer, :func:`dumps`, whose text is
-``json.dumps(payload, indent=2)`` byte for byte; with an ``indent`` the
+``json.dumps(payload, indent=2)`` byte for byte.  With an ``indent`` the
 standard library falls back to its pure-Python encoder, which cost more
-than building the largest payloads.
+than building the largest payloads; and a cold run that never imports
+:mod:`json` starts faster.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from _json import encode_basestring_ascii
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .combinatorics import Weights
 from .errors import InternalConsistencyError
@@ -146,22 +146,36 @@ def _key(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        return encode_basestring_ascii(_other(key, 0))
+    raise TypeError("keys must be str, int, float, bool or None, not " + type(key).__name__)
+
+
+def _other(value, level: int) -> str:
+    """A value that no faster path of :func:`_render` takes.  Only a float,
+    a subclass or a value JSON cannot write imports :mod:`json`: its text
+    ``level`` deep is its text at the top with each line indented."""
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    import json
+
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def _wrap(items, brackets: str, level: int) -> str:
     """``items``, texts already, as one container ``level`` deep."""
     inner = "\n" + "  " * (level + 1)
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * level}{brackets[1]}"
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
 def _render(values, level: int) -> list[str]:
-    """The text of each of ``values`` in ``json.dumps(indent=2)``, nested
-    ``level`` deep.  A list of ``str`` or of ``int`` is one ``map``; an
-    object repeated in ``values`` is rendered once; more dicts that share
-    one key tuple, or lists of one length, than they have items fill one
-    ``%``-template, column by column.
+    """The text of each of ``values`` (a non-empty sequence) in
+    ``json.dumps(indent=2)``, nested ``level`` deep.
+
+    A list of ``str`` or of ``int`` is one ``map``.  Otherwise each distinct
+    object (by identity) is rendered once, and objects of different shapes
+    (a dict's key tuple, a list's length, else the type) apart.  Dicts of
+    one key tuple, or lists of one length, that outnumber their items fill
+    one ``%``-template, column by column.
 
     >>> for text in _render([{"a": [1, 2], "b%": None}, {}], 0):
     ...     print(text)
@@ -179,42 +193,46 @@ def _render(values, level: int) -> list[str]:
         return list(map(encode_basestring_ascii, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
-    ids = list(map(id, values))
-    unique = dict(zip(ids, values))
-    if len(unique) < len(values):
-        text = dict(zip(unique, _render(list(unique.values()), level)))
-        return list(map(text.__getitem__, ids))
-    if kinds == {dict} or kinds <= {list, tuple}:
-        shapes = set(map(tuple if kinds == {dict} else len, values))
-        if len(shapes) == 1:
-            (shape,) = shapes
-            records = type(shape) is tuple
-            if 0 < (len(shape) if records else shape) < len(values):
-                if records:
-                    slots = [_key(k).replace("%", "%%") + ": %s" for k in shape]
-                    values = map(dict.values, values)
-                else:
-                    slots = ["%s"] * shape
-                template = _wrap(slots, "{}" if records else "[]", level)
-                columns = [_render(column, level + 1) for column in zip(*values)]
-                return [template % row for row in zip(*columns)]
-    return [_render_one(v, level) for v in values]
+    unique = dict(zip(map(id, values), values))
+    shape_of = tuple if kinds == {dict} else len if kinds <= {list, tuple} else type
+    shapes = set(map(shape_of, unique.values()))
+    if len(shapes) > 1 or len(unique) < len(values):
+        groups = {}
+        for v in unique.values():
+            groups.setdefault(shape_of(v), []).append(v)
+        text = {}
+        for group in groups.values():
+            text.update(zip(map(id, group), _render(group, level)))
+        return list(map(text.__getitem__, map(id, values)))
+    (shape,) = shapes
+    if shape_of is type:
+        return [_other(v, level) for v in values]
+    records = shape_of is tuple
+    width = len(shape) if records else shape
+    if not width:
+        return ["{}" if records else "[]"] * len(values)
+    # Keys that are not str may be equal with another text (1, True).
+    if width >= len(values) or records and not all(type(k) is str for k in shape):
+        return [_render_one(v, level) for v in values]
+    slots = [_key(k).replace("%", "%%") + ": %s" for k in shape] if records else ["%s"] * width
+    template = _wrap(slots, "{}" if records else "[]", level)
+    columns = [_render(c, level + 1) for c in zip(*map(dict.values, values) if records else values)]
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def _render_one(value, level: int) -> str:
-    """One value, as :func:`_render` writes it."""
-    if isinstance(value, dict):
+    """One non-empty dict or list, as :func:`_render` writes it."""
+    if type(value) is dict:
         texts = _render(list(value.values()), level + 1)
-        return _wrap([f"{_key(k)}: {t}" for k, t in zip(value, texts)], "{}", level) if value else "{}"
-    if isinstance(value, (list, tuple)):
-        return _wrap(_render(list(value), level + 1), "[]", level) if value else "[]"
-    return json.dumps(value)
+        return _wrap(list(map("%s: %s".__mod__, zip(map(_key, value), texts))), "{}", level)
+    return _wrap(_render(value, level + 1), "[]", level)
 
 
 def dumps(payload) -> str:
     """``json.dumps(payload, indent=2)``, byte for byte, without its
     pure-Python encoder.
 
+    >>> import json
     >>> dumps({"w": [1, 2], 3: "\u00e9"}) == json.dumps({"w": [1, 2], 3: "\u00e9"}, indent=2)
     True
     """

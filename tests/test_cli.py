@@ -320,8 +320,9 @@ COMMAND_MODULES = {
 
 @functools.lru_cache(maxsize=None)
 def loaded_modules(code: str) -> frozenset[str]:
-    """The modules a fresh interpreter holds after ``code``; each probe runs once."""
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    """The modules a fresh interpreter holds after ``code``, read before the
+    probe imports ``json`` to print them; each probe runs once."""
+    probe = code + "\nimport sys\nheld = sorted(sys.modules)\nimport json\nprint(json.dumps(held))"
     res = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=child_env({"PYTHONDONTWRITEBYTECODE": "1"}),
@@ -364,6 +365,14 @@ def test_command_loads_only_its_modules(command):
 def test_no_command_loads_dataclasses(command):
     code = "import orbimirror.cli" if command is None else command_probe(command)
     assert {"dataclasses", "inspect"} & loaded_modules(code) == set()
+
+
+# The CLI renders JSON without importing the ``json`` package, which a cold
+# run would pay for: strings go through the C escaper of ``_json``.
+@pytest.mark.parametrize("command", [None, *COMMAND_MODULES])
+def test_no_command_loads_json(command):
+    code = "import orbimirror.cli" if command is None else command_probe(command)
+    assert {m for m in loaded_modules(code) if m == "json" or m.startswith("json.")} == set()
 
 
 def test_exports_resolve_on_first_use():

@@ -4,6 +4,7 @@ the same text, byte for byte, on every value either can write."""
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -54,6 +55,14 @@ def test_nested_json_values_render_as_json_does():
 ELEM = {"gamma": "1/2", "d": 0}
 
 
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -79,6 +88,19 @@ ELEM = {"gamma": "1/2", "d": 0}
         [{"coeff": "0", "out": None}, {"coeff": "1", "out": ELEM}, {"coeff": "2", "out": ELEM}],
         # Lists of one length, as rows, and tuples among them.
         [[1, "a", None], (2, "b", True), [3, "c", 1.5], [4, "d", ELEM]],
+        # Keys that are equal but written differently: no one template fits.
+        [{1: "a"}, {True: "b"}, {1.0: "c"}],
+        [{0: "a", "k": 1}, {False: "b", "k": 2}, {0.0: "c", "k": 3}, {-0.0: "d", "k": 4}],
+        # Sparse vectors, as mirror failure records hold: int keys, one
+        # key tuple per vector, some vectors repeated.
+        [{0: "1", 3: "2"}, {1: "5"}, {0: "1", 3: "2"}, {2: "-1", 0: "7"}] * 2,
+        # Lists of several lengths, as reconstruct's alpha column.
+        [[1, 2, 3], [1, 2], (1, 2, 3), [4], [], [5, 6]],
+        # Every kind in one list.
+        [1, "a", None, True, 1.5, [], {}, [1], {"a": 1}, [1], {"a": 2}, -3, "b"],
+        # Subclasses, which json writes as their base types.
+        [OrderedDict(b=1, a=[2, 3]), OrderedDict(b=4, a=[5])],
+        [Text("x"), Count(3), Count(4), {"n": Count(5)}],
         # Scalars at the top.
         "x",
         0,
